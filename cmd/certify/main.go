@@ -20,23 +20,26 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
 
 	compactcert "repro"
-	"repro/internal/cert"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/treewidth"
 	"repro/internal/wire"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
 // loadGraphStream reads one wire-v2 binary graph from a file.
@@ -73,32 +76,40 @@ func schemeNames() string {
 	return strings.Join(names, " | ")
 }
 
-func run() int {
+// run executes the CLI over args, writing the report to stdout and
+// diagnostics to stderr, and returns the process exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("certify", flag.ContinueOnError)
 	var (
-		graphKind = flag.String("graph", "path", strings.Join(wire.GeneratorKinds(), " | "))
-		n         = flag.Int("n", 32, "number of vertices")
-		t         = flag.Int("t", 3, "treedepth/treewidth bound (treedepth/kernel/tw-mso schemes, random-td and k-tree families)")
-		schemeSel = flag.String("scheme", "tree-mso", schemeNames())
-		property  = flag.String("property", "perfect-matching",
+		graphKind = fs.String("graph", "path", strings.Join(wire.GeneratorKinds(), " | "))
+		n         = fs.Int("n", 32, "number of vertices")
+		t         = fs.Int("t", 3, "treedepth/treewidth bound (treedepth/kernel/tw-mso schemes, random-td and k-tree families)")
+		schemeSel = fs.String("scheme", "tree-mso", schemeNames())
+		property  = fs.String("property", "perfect-matching",
 			"tree-mso property: "+strings.Join(compactcert.TreeMSOProperties(), " | ")+
 				"; tw-mso property: "+strings.Join(compactcert.TreewidthMSOProperties(), " | "))
-		formula = flag.String("formula", "",
+		formula = fs.String("formula", "",
 			"FO/MSO sentence; supersedes -property on formula-capable schemes "+
 				"(default for formula-only schemes: \"forall x. exists y. x ~ y\")")
-		seed        = flag.Int64("seed", 1, "random seed")
-		density     = flag.Float64("density", 0, "extra-edge density for random-td / edge-keep probability for partial-k-tree (0 = default)")
-		tamper      = flag.Int("tamper", 0, "flip this many random certificate bits before verifying")
-		distributed = flag.Bool("distributed", true, "run the sharded network simulator after the sequential referee")
-		workers     = flag.Int("workers", 0, "simulator worker bound (0 = GOMAXPROCS)")
-		tamperKind  = flag.String("tamper-kind", "", "adversarial sweep: "+strings.Join(wire.TamperKinds(), " | "))
-		tamperK     = flag.Int("tamper-k", 0, "bits to flip per trial for -tamper-kind flip-bits (0 = 1)")
-		trials      = flag.Int("trials", 10, "trials per tamper for -tamper-kind sweeps")
-		decompose   = flag.Bool("decompose", false, "print the graph's tree decomposition summary (heuristics, exact when small)")
-		trace       = flag.Bool("trace", false, "print the phase span tree (compile/prove/verify/rounds) after the run")
-		emitStream  = flag.String("emit-stream", "", "also write the graph to FILE in the binary stream format (wire v2)")
-		loadStream  = flag.String("load-stream", "", "load the graph from FILE (binary stream format) instead of generating; -graph/-n/-density are ignored")
+		seed        = fs.Int64("seed", 1, "random seed")
+		density     = fs.Float64("density", 0, "extra-edge density for random-td / edge-keep probability for partial-k-tree (0 = default)")
+		tamper      = fs.Int("tamper", 0, "flip this many random certificate bits before verifying")
+		distributed = fs.Bool("distributed", true, "run the sharded network simulator after the sequential referee")
+		workers     = fs.Int("workers", 0, "simulator worker bound (0 = GOMAXPROCS)")
+		tamperKind  = fs.String("tamper-kind", "", "adversarial sweep: "+strings.Join(wire.TamperKinds(), " | "))
+		tamperK     = fs.Int("tamper-k", 0, "bits to flip per trial for -tamper-kind flip-bits (0 = 1)")
+		trials      = fs.Int("trials", 10, "trials per tamper for -tamper-kind sweeps")
+		decompose   = fs.Bool("decompose", false, "print the graph's tree decomposition summary (heuristics, exact when small)")
+		trace       = fs.Bool("trace", false, "print the phase span tree (compile/prove/verify/rounds) after the run")
+		emitStream  = fs.String("emit-stream", "", "also write the graph to FILE in the binary stream format (wire v2)")
+		loadStream  = fs.String("load-stream", "", "load the graph from FILE (binary stream format) instead of generating; -graph/-n/-density are ignored")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	rng := rand.New(rand.NewSource(*seed))
 	ctx, root := obs.Start(context.Background(), "certify")
 	// Deferred so error exits still close the root span; the trace would
@@ -106,8 +117,8 @@ func run() int {
 	defer func() {
 		root.End()
 		if *trace {
-			fmt.Println("trace:")
-			root.WriteTree(os.Stdout)
+			fmt.Fprintln(stdout, "trace:")
+			root.WriteTree(stdout)
 		}
 	}()
 
@@ -142,7 +153,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "certify: %v\n", err)
 			return 1
 		}
-		fmt.Printf("stream: wrote %s\n", *emitStream)
+		fmt.Fprintf(stdout, "stream: wrote %s\n", *emitStream)
 	}
 
 	name := *schemeSel
@@ -184,26 +195,27 @@ func run() int {
 			return 2
 		}
 	}
-	tamperSpec := wire.TamperSpec{Kind: *tamperKind, K: *tamperK, Trials: *trials, Seed: *seed}
+	var sweep *engine.TamperSweep
 	if *tamperKind != "" {
-		if err := tamperSpec.Validate(); err != nil {
+		tamperSpec := wire.TamperSpec{Kind: *tamperKind, K: *tamperK, Trials: *trials, Seed: *seed}
+		tampers, err := tamperSpec.Tampers()
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "certify: %v\n", err)
 			return 2
 		}
+		sweep = &engine.TamperSweep{Tampers: tampers, Trials: tamperSpec.EffectiveTrials(), Seed: *seed}
 	}
-	_, csp := obs.Start(ctx, "compile")
-	s, err := compactcert.BuildScheme(name, params)
-	csp.SetAttr("scheme", name)
-	csp.End()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "certify: %v\n", err)
+	sim := &netsim.Engine{Workers: *workers}
+	pipe := &engine.Pipeline{Cache: engine.NewCache(registry.Default()), Sim: sim}
+	res, a, s := pipe.Certify(ctx, engine.Job{Graph: g, Scheme: name, Params: params, Sweep: sweep})
+	var pe *engine.PhaseError
+	if errors.As(res.Err, &pe) && pe.Phase == "compile" {
+		fmt.Fprintf(os.Stderr, "certify: %v\n", res.Err)
 		return 1
 	}
-
 	root.SetAttr("graph", *graphKind)
-	root.SetAttr("n", g.N())
 
-	fmt.Printf("graph: %s n=%d m=%d\n", *graphKind, g.N(), g.M())
+	fmt.Fprintf(stdout, "graph: %s n=%d m=%d\n", *graphKind, g.N(), g.M())
 	if *decompose {
 		for _, method := range []struct {
 			name string
@@ -214,7 +226,7 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "certify: decompose: %v\n", err)
 				return 1
 			}
-			fmt.Printf("decomposition (%s): width=%d bags=%d valid=%v\n",
+			fmt.Fprintf(stdout, "decomposition (%s): width=%d bags=%d valid=%v\n",
 				method.name, width, d.NumBags(), treewidth.IsValid(g, d))
 		}
 		if g.N() <= treewidth.ExactLimit {
@@ -223,75 +235,51 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "certify: decompose: %v\n", err)
 				return 1
 			}
-			fmt.Printf("decomposition (exact): treewidth=%d\n", w)
+			fmt.Fprintf(stdout, "decomposition (exact): treewidth=%d\n", w)
 		}
 	}
-	fmt.Printf("scheme: %s\n", s.Name())
-	_, psp := obs.Start(ctx, "prove")
-	a, err := s.Prove(g)
-	psp.End()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "certify: prove: %v\n", err)
+	fmt.Fprintf(stdout, "scheme: %s\n", res.Scheme)
+	if res.Err != nil {
+		fmt.Fprintf(os.Stderr, "certify: %v\n", res.Err)
 		return 1
 	}
-	_, vsp := obs.Start(ctx, "verify")
-	vsp.SetAttr("mode", "sequential")
-	res, err := cert.RunSequential(g, s, a)
-	vsp.End()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "certify: verify: %v\n", err)
-		return 1
-	}
-	fmt.Printf("certificates: max %d bits, total %d bits\n", a.MaxBits(), a.TotalBits())
-	fmt.Printf("sequential verification: accepted=%v\n", res.Accepted)
+	fmt.Fprintf(stdout, "certificates: max %d bits, total %d bits\n", res.MaxBits, res.TotalBits)
+	fmt.Fprintf(stdout, "sequential verification: accepted=%v\n", res.Accepted)
 
-	engine := &netsim.Engine{Workers: *workers}
 	if *distributed {
 		dctx, dsp := obs.Start(ctx, "verify")
 		dsp.SetAttr("mode", "distributed")
-		rep, err := engine.Run(dctx, g, s, a)
+		rep, err := sim.Run(dctx, g, s, a)
 		dsp.End()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "certify: distributed run: %v\n", err)
 			return 1
 		}
-		fmt.Printf("distributed verification: accepted=%v (1 round, %d nodes, %d workers)\n",
+		fmt.Fprintf(stdout, "distributed verification: accepted=%v (1 round, %d nodes, %d workers)\n",
 			rep.Accepted, g.N(), rep.Workers)
 	}
 
 	if *tamper > 0 {
 		bad := compactcert.FlipRandomBits(a, *tamper, rng)
 		tctx, tsp := obs.Start(ctx, "tampered-verify")
-		rep2, err := engine.Run(tctx, g, s, bad)
+		rep2, err := sim.Run(tctx, g, s, bad)
 		tsp.End()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "certify: tampered run: %v\n", err)
 			return 1
 		}
-		fmt.Printf("after flipping %d bits: accepted=%v, rejecting nodes=%v\n",
+		fmt.Fprintf(stdout, "after flipping %d bits: accepted=%v, rejecting nodes=%v\n",
 			*tamper, rep2.Accepted, rep2.Rejecters)
 	}
 
-	if *tamperKind != "" {
-		tampers, err := tamperSpec.Tampers()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "certify: %v\n", err)
-			return 2
-		}
-		sctx, ssp := obs.Start(ctx, "sweep")
-		sweep, err := engine.Sweep(sctx, g, s, a, tampers, tamperSpec.EffectiveTrials(), *seed)
-		ssp.End()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "certify: sweep: %v\n", err)
-			return 1
-		}
-		fmt.Printf("adversarial sweep (%d trials per tamper):\n", tamperSpec.EffectiveTrials())
-		for _, st := range sweep.Stats {
-			fmt.Printf("  %-12s mutated=%d detected=%d noops=%d rate=%.2f rejecters=%d\n",
+	if res.Sweep != nil {
+		fmt.Fprintf(stdout, "adversarial sweep (%d trials per tamper):\n", sweep.Trials)
+		for _, st := range res.Sweep.Stats {
+			fmt.Fprintf(stdout, "  %-12s mutated=%d detected=%d noops=%d rate=%.2f rejecters=%d\n",
 				st.Tamper, st.Mutated, st.Detected, st.NoOps, st.DetectionRate(), st.Rejecters)
 		}
-		if !sweep.AllDetected {
-			fmt.Println("  WARNING: some corrupted assignments were accepted (see undetected trial indices above)")
+		if !res.Sweep.AllDetected {
+			fmt.Fprintln(stdout, "  WARNING: some corrupted assignments were accepted (see undetected trial indices above)")
 		}
 	}
 	return 0

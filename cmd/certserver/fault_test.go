@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -188,6 +190,92 @@ func TestBatchPanicPoisonedJob(t *testing.T) {
 	}
 }
 
+// TestProvePreFaultReachesEveryCertifyPath arms a one-shot error at the
+// engine.prove.pre fault point and drives each certify path through it:
+// every endpoint that proves must surface the injected failure — as a
+// non-2xx with the error envelope, or as the job's error in a batch —
+// because every one of them runs the same engine certify path.
+func TestProvePreFaultReachesEveryCertifyPath(t *testing.T) {
+	pathJob := map[string]any{
+		"scheme":    "tree-mso",
+		"params":    map[string]any{"property": "perfect-matching"},
+		"generator": map[string]any{"kind": "path", "n": 8},
+	}
+	var stream bytes.Buffer
+	if err := wire.EncodeGraphStream(&stream, graphgen.Path(8)); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		post func(t *testing.T, url string) (*http.Response, []byte)
+	}{
+		{"json-certify", func(t *testing.T, url string) (*http.Response, []byte) {
+			return postRaw(t, url+"/certify", "application/json", mustJSON(t, pathJob))
+		}},
+		{"stream-certify", func(t *testing.T, url string) (*http.Response, []byte) {
+			return postRaw(t, url+"/certify?scheme=tree-mso&property=perfect-matching", streamContentType, stream.Bytes())
+		}},
+		{"simulate", func(t *testing.T, url string) (*http.Response, []byte) {
+			return postRaw(t, url+"/simulate", "application/json", mustJSON(t, pathJob))
+		}},
+		{"batch", func(t *testing.T, url string) (*http.Response, []byte) {
+			return postRaw(t, url+"/batch", "application/json", mustJSON(t, map[string]any{"jobs": []any{pathJob}}))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := newTestServer(t)
+			armPlan(t, "seed=1;engine.prove.pre:error#1")
+			resp, body := tc.post(t, ts.URL)
+			if tc.name == "batch" {
+				var out struct {
+					Results []batchJobResult `json:"results"`
+				}
+				if err := json.Unmarshal(body, &out); err != nil {
+					t.Fatalf("decode %s: %v", body, err)
+				}
+				if resp.StatusCode != http.StatusOK || len(out.Results) != 1 ||
+					!strings.Contains(out.Results[0].Error, "engine.prove.pre") {
+					t.Fatalf("batch: status %d body %s, want the injected prove error on the job", resp.StatusCode, body)
+				}
+				return
+			}
+			var env errorJSON
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Fatalf("decode %s: %v", body, err)
+			}
+			if resp.StatusCode < 300 || !strings.Contains(env.Error, "engine.prove.pre") {
+				t.Fatalf("status %d body %s, want a non-2xx envelope naming the injected prove fault", resp.StatusCode, body)
+			}
+		})
+	}
+}
+
+// mustJSON marshals a request body.
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	blob, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// postRaw POSTs body and returns the response with its body read.
+func postRaw(t *testing.T, url, contentType string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, contentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, out
+}
+
 // TestRecovererContainsPanic panics inside an HTTP handler (via the
 // compile fault point) and checks the containment contract: 500 with the
 // error envelope and the request id, the panic counter ticks, and the
@@ -288,12 +376,14 @@ func TestEndpointTimeoutOverride(t *testing.T) {
 	}
 }
 
-// TestChaosSweep is the seeded fault sweep: eight plans spanning every
+// TestChaosSweep is the seeded fault sweep: nine plans spanning every
 // registered fault point and action drive the standard workload mix
 // against a live in-process server. Invariants, per plan: the process
 // survives (a clean probe succeeds afterwards), every non-2xx response
 // carries the JSON error envelope, and no goroutines leak across the
-// sweep.
+// sweep. The last plan sends only the mix's /certify traffic, so the
+// prove fault point must be reachable from /certify alone: it must
+// produce errors there.
 func TestChaosSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep is seconds-long")
@@ -307,10 +397,18 @@ func TestChaosSweep(t *testing.T) {
 		"seed=106;netsim.round.barrier:error@0.3",
 		"seed=107;wire.stream.chunk:corrupt@0.5",
 		"seed=108;engine.prove.pre:delay=10ms@0.5;engine.decomp.compute:panic@0.2",
+		"seed=109;engine.prove.pre:error@0.5",
 	}
+	const certifyOnlyPlan = 8
 	mix, err := loadgen.StandardMix()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var certifyMix []loadgen.Target
+	for _, tg := range mix {
+		if tg.Name == "certify" {
+			certifyMix = append(certifyMix, tg)
+		}
 	}
 	srv := newServer(registry.Default(), 4)
 	ts := httptest.NewServer(srv.routes())
@@ -320,11 +418,15 @@ func TestChaosSweep(t *testing.T) {
 	for i, spec := range plans {
 		t.Run(fmt.Sprintf("plan%02d", i+1), func(t *testing.T) {
 			armPlan(t, spec)
+			planMix := mix
+			if i == certifyOnlyPlan {
+				planMix = certifyMix
+			}
 			rep, err := loadgen.Run(context.Background(), loadgen.Options{
 				BaseURL:         ts.URL,
 				Rate:            80,
 				Duration:        300 * time.Millisecond,
-				Mix:             mix,
+				Mix:             planMix,
 				Seed:            int64(1000 + i),
 				Timeout:         10 * time.Second,
 				VerifyEnvelope:  true,
@@ -338,6 +440,9 @@ func TestChaosSweep(t *testing.T) {
 			}
 			if rep.EnvelopeViolations > 0 {
 				t.Fatalf("plan %q: %d non-2xx response(s) without the error envelope", spec, rep.EnvelopeViolations)
+			}
+			if i == certifyOnlyPlan && rep.Errors == 0 {
+				t.Fatalf("plan %q: /certify-only traffic never hit the prove fault (%d requests, all ok)", spec, rep.Requests)
 			}
 			fault.Disarm()
 

@@ -188,7 +188,7 @@ func attachWitness(params *registry.Params, w wire.Witness, reg *registry.Regist
 }
 
 // errorJSON is the uniform error envelope. Traceback is present only for
-// EMSO DP traceback failures (see writeProveError).
+// EMSO DP traceback failures (see writeCertifyError).
 type errorJSON struct {
 	Error     string         `json:"error"`
 	Traceback *tracebackJSON `json:"traceback,omitempty"`
@@ -203,22 +203,34 @@ type tracebackJSON struct {
 	Bag  []int  `json:"bag"`
 }
 
-// writeProveError maps prover failures onto responses. An EMSO DP
-// traceback error is an internal invariant violation (the DP's own
-// tables could not be walked back), not a property of the input, so it
-// surfaces as a 500 carrying the node kind and bag instead of an opaque
-// 422 — diagnosable straight from the response. Everything else keeps
-// the 422 contract: the graph cannot be certified as requested.
-func writeProveError(w http.ResponseWriter, err error) {
-	var te *treewidth.TracebackError
-	if errors.As(err, &te) {
-		writeJSON(w, http.StatusInternalServerError, errorJSON{
-			Error:     fmt.Sprintf("prove: %v", err),
-			Traceback: &tracebackJSON{Node: te.Node, Kind: te.Kind.String(), Bag: te.Bag},
-		})
+// writeCertifyError maps a failed engine certification onto a response
+// by the phase it failed in. Cancellations come first (499/503). Compile
+// errors are the request's fault (400). Prove errors keep the 422
+// contract — the graph cannot be certified as requested — except an EMSO
+// DP traceback error, an internal invariant violation (the DP's own
+// tables could not be walked back), which surfaces as a 500 carrying the
+// node kind and bag, diagnosable straight from the response. Everything
+// else (verify, sweep) is a server-side failure (500).
+func (s *server) writeCertifyError(w http.ResponseWriter, err error) {
+	if s.writeCancelled(w, err) {
 		return
 	}
-	writeError(w, http.StatusUnprocessableEntity, "prove: %v", err)
+	var pe *engine.PhaseError
+	errors.As(err, &pe)
+	var te *treewidth.TracebackError
+	switch {
+	case pe != nil && pe.Phase == "compile":
+		writeError(w, http.StatusBadRequest, "%v", err)
+	case errors.As(err, &te):
+		writeJSON(w, http.StatusInternalServerError, errorJSON{
+			Error:     err.Error(),
+			Traceback: &tracebackJSON{Node: te.Node, Kind: te.Kind.String(), Bag: te.Bag},
+		})
+	case pe != nil && pe.Phase == "prove":
+		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+	default:
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	}
 }
 
 // statusClientClosedRequest is nginx's conventional 499: the client went
@@ -351,35 +363,18 @@ func (s *server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	ctx := r.Context()
-	rsp := obs.FromContext(ctx)
 	g, params, err := req.resolve(s.reg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	t0 := time.Now()
-	scheme, err := s.cache.GetOrCompileCtx(ctx, req.Scheme, params)
-	compileNS := time.Since(t0).Nanoseconds()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	ctx := r.Context()
+	res, a, scheme := s.pipe.Certify(ctx, engine.Job{Graph: g, Scheme: req.Scheme, Params: params})
+	if res.Err != nil {
+		s.writeCertifyError(w, res.Err)
 		return
 	}
-	rsp.SetAttr("scheme", scheme.Name())
-	rsp.SetAttr("n", g.N())
-	a, res, phases, ok := s.proveAndVerify(ctx, w, scheme, g)
-	if !ok {
-		return
-	}
-	rsp.SetAttr("accepted", res.Accepted)
-	resp := certifyResponse{
-		Scheme:      scheme.Name(),
-		Result:      wire.ResultToJSON(res, a),
-		CompileNS:   compileNS,
-		DecomposeNS: phases.decomposeNS,
-		ProveNS:     phases.proveNS,
-		VerifyNS:    phases.verifyNS,
-	}
+	resp := newCertifyResponse(res)
 	if req.IncludeCertificates {
 		resp.Certificates = wire.AssignmentToStrings(a)
 	}
@@ -397,53 +392,26 @@ func (s *server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// certifyPhases carries the inline certify path's phase timings.
-type certifyPhases struct {
-	decomposeNS, proveNS, verifyNS int64
+// newCertifyResponse renders a successful certification.
+func newCertifyResponse(res engine.JobResult) certifyResponse {
+	return certifyResponse{
+		Scheme:      res.Scheme,
+		Result:      resultJSON(res),
+		CompileNS:   res.Compile.Nanoseconds(),
+		DecomposeNS: res.Decompose.Nanoseconds(),
+		ProveNS:     res.Prove.Nanoseconds(),
+		VerifyNS:    res.Verify.Nanoseconds(),
+	}
 }
 
-// proveAndVerify is the shared prove+verify tail of the JSON and stream
-// certify paths: prewarm the decomposition cache, prove, referee — each
-// phase under its weighted slice of the request deadline, cancellable at
-// the engine's checkpoints. On failure the response has been written
-// (499/503 for cancellations, the existing mappings otherwise) and ok is
-// false.
-func (s *server) proveAndVerify(ctx context.Context, w http.ResponseWriter, scheme cert.Scheme, g *graph.Graph) (cert.Assignment, cert.Result, certifyPhases, bool) {
-	var ph certifyPhases
-	dctx, dcancel := engine.PhaseBudget(ctx, "decompose")
-	ph.decomposeNS = s.cache.PrewarmDecomposition(dctx, scheme, g).Nanoseconds()
-	dcancel()
-	if err := ctx.Err(); err != nil {
-		s.writeCancelled(w, &fault.CancelledError{Phase: "decompose", Cause: err})
-		return nil, cert.Result{}, ph, false
+// resultJSON is the wire form of a job's verdict and certificate sizes.
+func resultJSON(res engine.JobResult) wire.ResultJSON {
+	return wire.ResultJSON{
+		Accepted:  res.Accepted,
+		Rejecters: res.Rejecters,
+		MaxBits:   res.MaxBits,
+		TotalBits: res.TotalBits,
 	}
-	pctx, pcancel := engine.PhaseBudget(ctx, "prove")
-	pctx, psp := obs.Start(pctx, "prove")
-	a, err := cert.ProveWithContext(pctx, scheme, g)
-	psp.End()
-	pcancel()
-	ph.proveNS = psp.Duration().Nanoseconds()
-	engine.PhaseHistogram(s.obs, "prove").Observe(psp.Duration())
-	if err != nil {
-		if !s.writeCancelled(w, err) {
-			writeProveError(w, err)
-		}
-		return nil, cert.Result{}, ph, false
-	}
-	vctx, vcancel := engine.PhaseBudget(ctx, "verify")
-	vctx, vsp := obs.Start(vctx, "verify")
-	res, err := cert.RunSequentialCtx(vctx, g, scheme, a)
-	vsp.End()
-	vcancel()
-	ph.verifyNS = vsp.Duration().Nanoseconds()
-	engine.PhaseHistogram(s.obs, "verify").Observe(vsp.Duration())
-	if err != nil {
-		if !s.writeCancelled(w, err) {
-			writeError(w, http.StatusInternalServerError, "verify: %v", err)
-		}
-		return nil, cert.Result{}, ph, false
-	}
-	return a, res, ph, true
 }
 
 // mediaType returns the request's Content-Type without parameters.
@@ -464,7 +432,6 @@ func mediaType(r *http.Request) string {
 // binary path, so include_certificates does not exist here.
 func (s *server) handleCertifyStream(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
-	rsp := obs.FromContext(ctx)
 	q := r.URL.Query()
 	p := paramsJSON{Property: q.Get("property"), Formula: q.Get("formula")}
 	if ts := q.Get("t"); ts != "" {
@@ -491,28 +458,12 @@ func (s *server) handleCertifyStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	t0 := time.Now()
-	scheme, err := s.cache.GetOrCompileCtx(ctx, schemeName, p.toParams())
-	compileNS := time.Since(t0).Nanoseconds()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	res, _, _ := s.pipe.Certify(ctx, engine.Job{Graph: g, Scheme: schemeName, Params: p.toParams()})
+	if res.Err != nil {
+		s.writeCertifyError(w, res.Err)
 		return
 	}
-	rsp.SetAttr("scheme", scheme.Name())
-	rsp.SetAttr("n", g.N())
-	a, res, phases, ok := s.proveAndVerify(ctx, w, scheme, g)
-	if !ok {
-		return
-	}
-	rsp.SetAttr("accepted", res.Accepted)
-	writeJSON(w, http.StatusOK, certifyResponse{
-		Scheme:      scheme.Name(),
-		Result:      wire.ResultToJSON(res, a),
-		CompileNS:   compileNS,
-		DecomposeNS: phases.decomposeNS,
-		ProveNS:     phases.proveNS,
-		VerifyNS:    phases.verifyNS,
-	})
+	writeJSON(w, http.StatusOK, newCertifyResponse(res))
 }
 
 // simulateRequest is the POST /simulate payload: run the sharded network
@@ -553,104 +504,64 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
+	job := engine.Job{Scheme: req.Scheme, Distributed: true}
 	if req.Tamper != nil {
-		if err := req.Tamper.Validate(); err != nil {
+		tampers, err := req.Tamper.Tampers()
+		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		job.Sweep = &engine.TamperSweep{Tampers: tampers, Trials: req.Tamper.EffectiveTrials(), Seed: req.Tamper.Seed}
+	}
+	var err error
+	job.Graph, job.Params, err = req.resolve(s.reg)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if len(req.Certificates) > 0 {
+		if job.Certificates, err = decodeCertificates(req.Certificates, job.Graph); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+	}
+	// The shared pipeline serves the common case so its simulator's buffer
+	// pool stays warm; an explicit per-request worker bound gets its own
+	// simulator (writing into the same registry).
+	pipe := s.pipe
+	if req.Workers > 0 {
+		pipe = &engine.Pipeline{Cache: s.cache, Sim: &netsim.Engine{Workers: req.Workers, Obs: s.obs}}
 	}
 	ctx := r.Context()
-	rsp := obs.FromContext(ctx)
-	g, params, err := req.resolve(s.reg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	res, _, _ := pipe.Certify(ctx, job)
+	if res.Err != nil {
+		s.writeCertifyError(w, res.Err)
 		return
 	}
-	scheme, err := s.cache.GetOrCompileCtx(ctx, req.Scheme, params)
+	writeJSON(w, http.StatusOK, simulateResponse{
+		Scheme: res.Scheme,
+		Result: resultJSON(res),
+		// Every scheme here verifies at radius 1: one exchange round.
+		Rounds:   1,
+		Workers:  pipe.Sim.WorkersFor(job.Graph.N()),
+		Sweep:    res.Sweep,
+		ProveNS:  res.Prove.Nanoseconds(),
+		VerifyNS: res.Verify.Nanoseconds(),
+		SweepNS:  obs.FromContext(ctx).PhaseDurations()["sweep"].Nanoseconds(),
+	})
+}
+
+// decodeCertificates parses a client-supplied assignment and checks it
+// carries one certificate per vertex of g.
+func decodeCertificates(certs []string, g *graph.Graph) (cert.Assignment, error) {
+	a, err := wire.AssignmentFromStrings(certs)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	rsp.SetAttr("scheme", scheme.Name())
-	rsp.SetAttr("n", g.N())
-	resp := simulateResponse{Scheme: scheme.Name()}
-	var a cert.Assignment
-	if len(req.Certificates) > 0 {
-		a, err = wire.AssignmentFromStrings(req.Certificates)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if len(a) != g.N() {
-			writeError(w, http.StatusBadRequest, "%d certificates for %d vertices", len(a), g.N())
-			return
-		}
-	} else {
-		s.cache.PrewarmDecomposition(ctx, scheme, g)
-		pctx, psp := obs.Start(ctx, "prove")
-		a, err = cert.ProveWithContext(pctx, scheme, g)
-		psp.End()
-		engine.PhaseHistogram(s.obs, "prove").Observe(psp.Duration())
-		resp.ProveNS = psp.Duration().Nanoseconds()
-		if err != nil {
-			if !s.writeCancelled(w, err) {
-				writeProveError(w, err)
-			}
-			return
-		}
+	if len(a) != g.N() {
+		return nil, fmt.Errorf("%d certificates for %d vertices", len(a), g.N())
 	}
-	// The shared engine serves the common case so its buffer pool stays
-	// warm; an explicit per-request worker bound gets its own engine
-	// (writing into the same registry).
-	sim := s.sim
-	if req.Workers > 0 {
-		sim = &netsim.Engine{Workers: req.Workers, Obs: s.obs}
-	}
-	vctx, vsp := obs.Start(ctx, "verify")
-	rep, err := sim.Run(vctx, g, scheme, a)
-	vsp.End()
-	engine.PhaseHistogram(s.obs, "verify").Observe(vsp.Duration())
-	resp.VerifyNS = vsp.Duration().Nanoseconds()
-	if err != nil {
-		if s.writeCancelled(w, err) {
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "simulate: %v", err)
-		return
-	}
-	rsp.SetAttr("accepted", rep.Accepted)
-	resp.Result = wire.ResultJSON{
-		Accepted:  rep.Accepted,
-		Rejecters: rep.Rejecters,
-		MaxBits:   a.MaxBits(),
-		TotalBits: a.TotalBits(),
-	}
-	resp.Rounds = rep.Rounds
-	resp.Workers = rep.Workers
-	// Sweep only an accepted baseline: attacking an assignment that is
-	// already rejected would produce meaningless detection statistics
-	// (the pipeline applies the same gate).
-	if req.Tamper != nil && rep.Accepted {
-		tampers, terr := req.Tamper.Tampers()
-		if terr != nil {
-			writeError(w, http.StatusBadRequest, "%v", terr)
-			return
-		}
-		sctx, ssp := obs.Start(ctx, "sweep")
-		sweep, serr := sim.Sweep(sctx, g, scheme, a, tampers, req.Tamper.EffectiveTrials(), req.Tamper.Seed)
-		ssp.End()
-		engine.PhaseHistogram(s.obs, "sweep").Observe(ssp.Duration())
-		resp.SweepNS = ssp.Duration().Nanoseconds()
-		if serr != nil {
-			if s.writeCancelled(w, serr) {
-				return
-			}
-			writeError(w, http.StatusInternalServerError, "sweep: %v", serr)
-			return
-		}
-		resp.Sweep = &sweep
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return a, nil
 }
 
 // verifyRequest is the POST /verify payload: a graph, a scheme and a
@@ -670,32 +581,20 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	a, err := wire.AssignmentFromStrings(req.Certificates)
+	a, err := decodeCertificates(req.Certificates, g)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ctx := r.Context()
-	scheme, err := s.cache.GetOrCompileCtx(ctx, req.Scheme, params)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	vctx, vsp := obs.Start(ctx, "verify")
-	res, err := cert.RunSequentialCtx(vctx, g, scheme, a)
-	vsp.End()
-	engine.PhaseHistogram(s.obs, "verify").Observe(vsp.Duration())
-	if err != nil {
-		if s.writeCancelled(w, err) {
-			return
-		}
-		writeError(w, http.StatusBadRequest, "verify: %v", err)
+	res, _, _ := s.pipe.Certify(r.Context(), engine.Job{Graph: g, Scheme: req.Scheme, Params: params, Certificates: a})
+	if res.Err != nil {
+		s.writeCertifyError(w, res.Err)
 		return
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Scheme string          `json:"scheme"`
 		Result wire.ResultJSON `json:"result"`
-	}{scheme.Name(), wire.ResultToJSON(res, a)})
+	}{res.Scheme, resultJSON(res)})
 }
 
 // batchRequest is the POST /batch payload.

@@ -52,8 +52,7 @@ type Cache struct {
 	// no registry wiring.
 	Obs *obs.Registry
 
-	mu      sync.Mutex
-	flights map[string]*flight
+	flights *flightGroup[string, cert.Scheme]
 
 	hits     *obs.Counter
 	misses   *obs.Counter
@@ -78,14 +77,6 @@ type Cache struct {
 	}
 }
 
-// flight is one compilation: started by the first requester, awaited by
-// everyone else via the done channel.
-type flight struct {
-	done   chan struct{}
-	scheme cert.Scheme
-	err    error
-}
-
 // NewCache returns a cache compiling through the given registry, with
 // bare (unregistered) metric handles.
 func NewCache(reg *registry.Registry) *Cache {
@@ -98,7 +89,7 @@ func NewCacheObs(reg *registry.Registry, r *obs.Registry) *Cache {
 	c := &Cache{
 		reg:     reg,
 		Obs:     r,
-		flights: map[string]*flight{},
+		flights: newFlightGroup[string, cert.Scheme]("compile", maxCompileEntries),
 		canon:   map[string]string{},
 	}
 	if r == nil {
@@ -115,7 +106,7 @@ func NewCacheObs(reg *registry.Registry, r *obs.Registry) *Cache {
 	c.bypasses = cacheCounter(r, "compile", "bypass")
 	c.formulaHits = cacheCounter(r, "formula", "hit")
 	c.formulaMisses = cacheCounter(r, "formula", "miss")
-	c.compilePhase = PhaseHistogram(r, "compile")
+	c.compilePhase = phaseHistogram(r, "compile")
 	return c
 }
 
@@ -123,6 +114,11 @@ func NewCacheObs(reg *registry.Registry, r *obs.Registry) *Cache {
 // are client-controlled, so the memo would otherwise grow with every
 // distinct hostile string. Eviction is arbitrary, like the decomp cache.
 const maxCanonEntries = 4096
+
+// maxCompileEntries bounds the compile cache the same way: every distinct
+// canonical formula a client sends compiles to its own scheme, so without
+// a cap the cache would grow by one compiled automaton per formula.
+const maxCompileEntries = maxCanonEntries
 
 // canonicalFormula memoizes the canonical form of raw formula text.
 // Unparsable text canonicalizes to itself — the key still serves, and the
@@ -211,7 +207,7 @@ func (c *Cache) Key(name string, p registry.Params) (string, error) {
 // GetOrCompile returns the cached scheme for (name, p), compiling it if
 // absent. Uncacheable params bypass the cache entirely.
 func (c *Cache) GetOrCompile(name string, p registry.Params) (cert.Scheme, error) {
-	s, _, err := c.getOrCompile(name, p)
+	s, _, err := c.getOrCompile(context.Background(), name, p)
 	return s, err
 }
 
@@ -220,7 +216,7 @@ func (c *Cache) GetOrCompile(name string, p registry.Params) (cert.Scheme, error
 // duration is recorded in the compile phase histogram.
 func (c *Cache) GetOrCompileCtx(ctx context.Context, name string, p registry.Params) (cert.Scheme, error) {
 	_, sp := obs.Start(ctx, "compile")
-	s, outcome, err := c.getOrCompile(name, p)
+	s, outcome, err := c.getOrCompile(ctx, name, p)
 	sp.SetAttr("cache", outcome)
 	sp.End()
 	c.compilePhase.Observe(sp.Duration())
@@ -229,65 +225,36 @@ func (c *Cache) GetOrCompileCtx(ctx context.Context, name string, p registry.Par
 
 // getOrCompile implements the cache lookup and reports the outcome
 // ("hit", "miss" or "bypass") alongside the scheme.
-func (c *Cache) getOrCompile(name string, p registry.Params) (cert.Scheme, string, error) {
+func (c *Cache) getOrCompile(ctx context.Context, name string, p registry.Params) (cert.Scheme, string, error) {
 	if !p.Cacheable() {
 		c.bypasses.Inc()
-		if err := compileBuild.Inject(); err != nil {
-			return nil, "bypass", err
-		}
-		s, err := c.reg.Build(name, p)
-		if err == nil {
-			c.attachDecompCache(s)
-		}
+		s, err := c.build(name, p)
 		return s, "bypass", err
 	}
 	key, err := c.Key(name, p)
 	if err != nil {
 		return nil, "error", err
 	}
-	c.mu.Lock()
-	if f, ok := c.flights[key]; ok {
-		c.mu.Unlock()
+	s, hit, err := c.flights.do(ctx, key, func() (cert.Scheme, error) { return c.build(name, p) })
+	if hit {
 		c.hits.Inc()
-		<-f.done
-		return f.scheme, "hit", f.err
+		return s, "hit", err
 	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
 	c.misses.Inc()
-	// Unpin and release waiters even if a panic (injected chaos, or a
-	// compiler bug) unwinds through the build: a flight whose done channel
-	// never closes would strand every later request for the key.
-	settled := false
-	defer func() {
-		if settled {
-			return
-		}
-		f.err = fmt.Errorf("engine: compile flight panicked")
-		c.mu.Lock()
-		delete(c.flights, key)
-		c.mu.Unlock()
-		close(f.done)
-	}()
-	if f.err = compileBuild.Inject(); f.err == nil {
-		f.scheme, f.err = c.reg.Build(name, p)
+	return s, "miss", err
+}
+
+// build compiles one scheme behind the compile fault point and attaches
+// the shared per-graph state before the scheme is published to waiters.
+func (c *Cache) build(name string, p registry.Params) (cert.Scheme, error) {
+	if err := compileBuild.Inject(); err != nil {
+		return nil, err
 	}
-	if f.err == nil {
-		// Attach shared per-graph state before publishing to waiters.
-		c.attachDecompCache(f.scheme)
+	s, err := c.reg.Build(name, p)
+	if err == nil {
+		c.attachDecompCache(s)
 	}
-	settled = true
-	close(f.done)
-	if f.err != nil {
-		// Failed compiles are not pinned: a later request with the same
-		// key retries instead of replaying a stale error forever.
-		c.mu.Lock()
-		delete(c.flights, key)
-		c.mu.Unlock()
-	}
-	return f.scheme, "miss", f.err
+	return s, err
 }
 
 // Stats is a snapshot of cache effectiveness counters.
@@ -304,14 +271,11 @@ type Stats struct {
 
 // Stats returns current counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	size := len(c.flights)
-	c.mu.Unlock()
 	return Stats{
 		Hits:     c.hits.Value(),
 		Misses:   c.misses.Value(),
 		Bypasses: c.bypasses.Value(),
-		Size:     size,
+		Size:     c.flights.size(),
 	}
 }
 
@@ -341,9 +305,7 @@ func (c *Cache) FormulaStats() FormulaStats {
 // Purge drops every cached scheme and memoized formula (counters are
 // kept).
 func (c *Cache) Purge() {
-	c.mu.Lock()
-	c.flights = map[string]*flight{}
-	c.mu.Unlock()
+	c.flights.purge()
 	c.canonMu.Lock()
 	c.canon = map[string]string{}
 	c.canonMu.Unlock()

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cert"
@@ -29,8 +28,7 @@ var decompCompute = fault.NewPoint("engine.decomp.compute")
 // collision would hand a scheme a decomposition of the wrong graph, which
 // the prover's validity check rejects instead of certifying garbage.
 type DecompCache struct {
-	mu      sync.Mutex
-	flights map[uint64]*decompFlight
+	flights *flightGroup[uint64, *treewidth.Decomposition]
 
 	hits   *obs.Counter
 	misses *obs.Counter
@@ -45,17 +43,9 @@ type DecompCache struct {
 	}
 }
 
-type decompFlight struct {
-	done   chan struct{}
-	decomp *treewidth.Decomposition
-	err    error
-}
-
 // maxDecompEntries bounds the cache: fingerprints are client-controlled
 // (every distinct graph is a fresh key), so without a cap a client
-// iterating over seeds would grow the server's memory monotonically. On
-// overflow an arbitrary entry is evicted — waiters already holding its
-// flight keep their pointer; later requests simply recompute.
+// iterating over seeds would grow the server's memory monotonically.
 const maxDecompEntries = 1024
 
 // NewDecompCache returns an empty decomposition cache with bare
@@ -69,7 +59,7 @@ func NewDecompCache() *DecompCache {
 // Pass the same registry as the compile cache's so one exposition carries
 // all three cache families.
 func NewDecompCacheObs(r *obs.Registry) *DecompCache {
-	c := &DecompCache{flights: map[uint64]*decompFlight{}}
+	c := &DecompCache{flights: newFlightGroup[uint64, *treewidth.Decomposition]("decompose", maxDecompEntries)}
 	if r == nil {
 		c.hits = &c.bare.hits
 		c.misses = &c.bare.misses
@@ -78,7 +68,7 @@ func NewDecompCacheObs(r *obs.Registry) *DecompCache {
 	}
 	c.hits = cacheCounter(r, "decomp", "hit")
 	c.misses = cacheCounter(r, "decomp", "miss")
-	c.decompPhase = PhaseHistogram(r, "decompose")
+	c.decompPhase = phaseHistogram(r, "decompose")
 	return c
 }
 
@@ -151,94 +141,32 @@ func (c *DecompCache) count(hit bool) {
 }
 
 // get implements the singleflight lookup without touching the counters:
-// the counted entry points (Get, GetCtx) and the silent one (Provider)
+// the counted entry points (Get, GetCtx) and the silent one (ProviderCtx)
 // share it. The context belongs to the request that wins the computing
-// flight; waiters that inherit a *cancelled* flight retry with their own
-// context instead of failing for someone else's disconnect.
+// flight.
 func (c *DecompCache) get(ctx context.Context, g *graph.Graph) (*treewidth.Decomposition, bool, error) {
 	if g == nil {
 		return nil, false, fmt.Errorf("engine: decomposition cache: nil graph")
 	}
-	key := fingerprint(g)
-	for {
-		c.mu.Lock()
-		f, ok := c.flights[key]
-		if !ok {
-			break
+	return c.flights.do(ctx, fingerprint(g), func() (*treewidth.Decomposition, error) {
+		if err := decompCompute.Inject(); err != nil {
+			return nil, err
 		}
-		c.mu.Unlock()
-		<-f.done
-		if _, cancelled := fault.Cancelled(f.err); !cancelled {
-			return f.decomp, true, f.err
-		}
-		// The computing request went away mid-flight. Its failure was
-		// unpinned before done closed, so looping re-claims the key —
-		// unless this waiter is itself cancelled.
-		if err := ctx.Err(); err != nil {
-			return nil, true, &fault.CancelledError{Phase: "decompose", Cause: err}
-		}
-	}
-	if len(c.flights) >= maxDecompEntries {
-		for k := range c.flights {
-			delete(c.flights, k)
-			break
-		}
-	}
-	f := &decompFlight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	// A panic unwinding through the computing flight (injected chaos, or
-	// a heuristic bug) must not strand waiters on a never-closed channel:
-	// unpin the flight and release them with an error, then let the panic
-	// keep unwinding to the per-job/per-handler recovery above us.
-	settled := false
-	defer func() {
-		if settled {
-			return
-		}
-		f.err = fmt.Errorf("engine: decomposition flight panicked")
-		c.mu.Lock()
-		delete(c.flights, key)
-		c.mu.Unlock()
-		close(f.done)
-	}()
-
-	if err := decompCompute.Inject(); err != nil {
-		f.err = err
-	} else {
-		f.decomp, _, f.err = treewidth.HeuristicCtx(ctx, g)
-	}
-	settled = true
-	if f.err != nil {
-		// Failed computations are not pinned, mirroring the compile cache.
-		// The unpin happens before done closes so a retrying waiter finds
-		// the slot free instead of re-observing the dead flight.
-		c.mu.Lock()
-		delete(c.flights, key)
-		c.mu.Unlock()
-	}
-	close(f.done)
-	return f.decomp, false, f.err
-}
-
-// Provider adapts the cache to the scheme's DecompProvider slot. Unlike a
-// generator witness the returned closure is graph-agnostic, so a compiled
-// tw-mso scheme carrying it stays shareable across graphs and cacheable.
-//
-// The closure reads the cache silently: when a caller prewarms via
-// PrewarmDecomposition the prewarm is the one counted logical request, and
-// the scheme's internal access must not count the same job twice.
-func (c *DecompCache) Provider() func(*graph.Graph) (*treewidth.Decomposition, error) {
-	return func(g *graph.Graph) (*treewidth.Decomposition, error) {
-		d, _, err := c.get(context.Background(), g)
+		d, _, err := treewidth.HeuristicCtx(ctx, g)
 		return d, err
-	}
+	})
 }
 
-// ProviderCtx is Provider with the caller's context threaded into any
-// computation the lookup starts, so a prove that resolves its
-// decomposition through the cache stays cancellable end to end.
+// ProviderCtx adapts the cache to the scheme's DecompProviderCtx slot,
+// threading the caller's context into any computation the lookup starts
+// so a prove that resolves its decomposition through the cache stays
+// cancellable end to end. Unlike a generator witness the returned closure
+// is graph-agnostic, so a compiled tw-mso scheme carrying it stays
+// shareable across graphs and cacheable.
+//
+// The closure reads the cache silently: the prewarm in Pipeline.Certify
+// is the one counted logical request, and the scheme's internal access
+// must not count the same job twice.
 func (c *DecompCache) ProviderCtx() func(context.Context, *graph.Graph) (*treewidth.Decomposition, error) {
 	return func(ctx context.Context, g *graph.Graph) (*treewidth.Decomposition, error) {
 		d, _, err := c.get(ctx, g)
@@ -255,17 +183,12 @@ type DecompStats struct {
 
 // Stats returns current counters.
 func (c *DecompCache) Stats() DecompStats {
-	c.mu.Lock()
-	size := len(c.flights)
-	c.mu.Unlock()
-	return DecompStats{Hits: c.hits.Value(), Misses: c.misses.Value(), Size: size}
+	return DecompStats{Hits: c.hits.Value(), Misses: c.misses.Value(), Size: c.flights.size()}
 }
 
 // Purge drops every cached decomposition (counters are kept).
 func (c *DecompCache) Purge() {
-	c.mu.Lock()
-	c.flights = map[uint64]*decompFlight{}
-	c.mu.Unlock()
+	c.flights.purge()
 }
 
 // attachDecompCache hands a freshly compiled tw-mso scheme the shared
@@ -276,29 +199,26 @@ func (c *Cache) attachDecompCache(s cert.Scheme) {
 		return
 	}
 	if tws, ok := s.(*treewidth.MSOScheme); ok && tws.DecompProvider == nil {
-		tws.DecompProvider = c.Decomps.Provider()
 		tws.DecompProviderCtx = c.Decomps.ProviderCtx()
-		tws.CacheBackedDecomp = true
 	}
 }
 
-// PrewarmDecomposition populates the shared decomposition cache for g when
-// s is a cache-backed tw-mso scheme, under a "decompose" span. The
-// subsequent Prove (which takes no context) then finds the decomposition
-// in the cache, so decomposition cost is attributed to its own phase
-// instead of folding into prove time. The prewarm is the counted logical
-// cache request for the job.
+// prewarmDecomposition populates the shared decomposition cache for g
+// when s is a cache-backed tw-mso scheme, under a "decompose" span, so the
+// prove that follows finds the decomposition in the cache and its cost is
+// attributed to its own phase instead of folding into prove time. The
+// prewarm is the counted logical cache request for the job.
 //
 // Errors are deliberately swallowed: on a failed or too-wide cached
 // decomposition the scheme falls back to its own computation (including
 // exact search), so the job may still succeed — the fallback cost shows
 // up as prove time.
-func (c *Cache) PrewarmDecomposition(ctx context.Context, s cert.Scheme, g *graph.Graph) time.Duration {
-	if c.Decomps == nil || g == nil {
+func (c *Cache) prewarmDecomposition(ctx context.Context, s cert.Scheme, g *graph.Graph) time.Duration {
+	if c.Decomps == nil {
 		return 0
 	}
 	tws, ok := s.(*treewidth.MSOScheme)
-	if !ok || !tws.CacheBackedDecomp {
+	if !ok || tws.DecompProviderCtx == nil {
 		return 0
 	}
 	t0 := time.Now()

@@ -658,3 +658,48 @@ func TestCacheCanonicalFormulaKeys(t *testing.T) {
 		}
 	})
 }
+
+// nopScheme is a trivially cheap compiled scheme for cache-bound tests.
+type nopScheme struct{}
+
+func (nopScheme) Holds(*graph.Graph) (bool, error) { return true, nil }
+func (nopScheme) Name() string                     { return "nop" }
+func (nopScheme) Prove(g *graph.Graph) (cert.Assignment, error) {
+	return make(cert.Assignment, g.N()), nil
+}
+func (nopScheme) Verify(cert.View) bool { return true }
+
+// The compile cache is bounded: every distinct canonical formula a client
+// sends compiles to its own scheme, so more distinct formulas than the
+// bound must not grow the cache past it.
+func TestCacheBounded(t *testing.T) {
+	r := registry.New()
+	r.MustRegister(registry.Entry{
+		Info:  registry.Info{Name: "nop", Needs: []registry.Param{registry.ParamFormula}},
+		Build: func(registry.Params) (cert.Scheme, error) { return nopScheme{}, nil },
+	})
+	c := NewCache(r)
+	const formulas = maxCompileEntries + 100
+	for i := 0; i < formulas; i++ {
+		// Bit b of i picks the b-th disjunct, so every i spells a
+		// structurally distinct sentence.
+		atoms := make([]string, 13)
+		for b := range atoms {
+			atoms[b] = "x = y"
+			if i>>b&1 == 1 {
+				atoms[b] = "x ~ y"
+			}
+		}
+		f := "forall x. forall y. " + strings.Join(atoms, " | ")
+		if _, err := c.GetOrCompile("nop", registry.Params{Formula: f}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Stats()
+	if st.Misses != formulas {
+		t.Fatalf("%d compiles for %d distinct formulas", st.Misses, formulas)
+	}
+	if st.Size > maxCompileEntries {
+		t.Fatalf("compile cache grew to %d entries (bound %d)", st.Size, maxCompileEntries)
+	}
+}

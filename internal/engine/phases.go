@@ -47,11 +47,10 @@ func cacheCounter(r *obs.Registry, cache, result string) *obs.Counter {
 		obs.L("cache", cache), obs.L("result", result))
 }
 
-// PhaseHistogram returns the latency histogram for one certification
-// phase. Exported so the serving layer records its inline phases into the
-// same family the pipeline writes. A nil registry yields a bare
-// unregistered histogram, like cacheCounter.
-func PhaseHistogram(r *obs.Registry, phase string) *obs.Histogram {
+// phaseHistogram returns the latency histogram for one certification
+// phase. A nil registry yields a bare unregistered histogram, like
+// cacheCounter.
+func phaseHistogram(r *obs.Registry, phase string) *obs.Histogram {
 	if r == nil {
 		return new(obs.Histogram)
 	}
@@ -144,30 +143,4 @@ func PhaseBudget(ctx context.Context, phase string) (context.Context, context.Ca
 		share = remaining
 	}
 	return context.WithTimeout(ctx, share)
-}
-
-// Phase is one named phase duration of a certification request, in
-// pipeline order.
-type Phase struct {
-	Name string
-	D    time.Duration
-}
-
-// PhasesFor lists a result's non-zero phase durations in pipeline order —
-// the shape request logs and phase histograms share.
-func PhasesFor(r JobResult) []Phase {
-	all := []Phase{
-		{"generate", r.Generate},
-		{"compile", r.Compile},
-		{"decompose", r.Decompose},
-		{"prove", r.Prove},
-		{"verify", r.Verify},
-	}
-	out := all[:0]
-	for _, p := range all {
-		if p.D > 0 {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -31,8 +31,8 @@ type TamperSweep struct {
 	Seed int64
 }
 
-// Job is one unit of pipeline work: prove and verify one graph under one
-// scheme, optionally followed by an adversarial soundness sweep.
+// Job is one certification: prove and verify one graph under one scheme,
+// optionally followed by an adversarial soundness sweep.
 type Job struct {
 	// Graph is the instance to certify. Leave nil and set Lazy to
 	// materialize the instance inside a worker instead.
@@ -52,8 +52,12 @@ type Job struct {
 	// additionally exercises the self-stabilization code path).
 	Distributed bool
 	// Sweep, when set, runs the adversarial soundness sweep after an
-	// accepted honest verification.
+	// accepted verification.
 	Sweep *TamperSweep
+	// Certificates, when set, are verified (and swept) instead of an
+	// honest proof: the job skips the decompose and prove phases. The
+	// caller checks there is one certificate per vertex.
+	Certificates cert.Assignment
 }
 
 // JobResult reports one job's outcome with per-phase timings and the
@@ -63,7 +67,8 @@ type JobResult struct {
 	Index int `json:"index"`
 	// Scheme is the resolved scheme name (empty when compilation failed).
 	Scheme string `json:"scheme,omitempty"`
-	// Accepted reports whether every vertex accepted the honest proof.
+	// Accepted reports whether every vertex accepted the honest proof (or
+	// the job's supplied certificates).
 	Accepted bool `json:"accepted"`
 	// Rejecters lists rejecting vertex indices, when any.
 	Rejecters []int `json:"rejecters,omitempty"`
@@ -99,8 +104,36 @@ func (r *JobResult) fail(err error) {
 	r.Error = err.Error()
 }
 
-// Pipeline proves and verifies batches of jobs on a bounded worker pool,
-// compiling schemes through a shared cache.
+// failAt records err as a failure of the named phase.
+func (r *JobResult) failAt(phase string, err error) {
+	r.fail(&PhaseError{Phase: phase, Err: err})
+}
+
+// PhaseError is a certification failure tagged with the phase it
+// happened in (generate, compile, decompose, prove, verify or sweep), so
+// callers map failures by phase — a compile error is the request's
+// fault, a prove error says the graph cannot be certified as asked —
+// instead of by call site.
+type PhaseError struct {
+	Phase string
+	Err   error
+}
+
+// Error prefixes the cause with its phase. Compile errors stay bare: they
+// come straight from the registry or the formula parser and already name
+// what was wrong with the request.
+func (e *PhaseError) Error() string {
+	if e.Phase == "compile" {
+		return e.Err.Error()
+	}
+	return e.Phase + ": " + e.Err.Error()
+}
+
+func (e *PhaseError) Unwrap() error { return e.Err }
+
+// Pipeline certifies jobs — one at a time through Certify, or batches of
+// them on a bounded worker pool through Run — compiling schemes through a
+// shared cache.
 type Pipeline struct {
 	// Cache supplies compiled schemes; required.
 	Cache *Cache
@@ -187,42 +220,29 @@ dispatch:
 	return results, nil
 }
 
-// runOne executes a single job: generate (when lazy), compile (through the
-// cache), decompose (prewarming the shared cache when the scheme reads
-// it), prove, verify (sequentially or on the network simulator), then
-// optionally run the adversarial soundness sweep. Each phase runs under a
-// child span of the job span, lands one sample in its phase histogram,
-// and receives its weighted slice of any request deadline (PhaseBudget).
-// A panicking job — a buggy scheme, an armed panic fault — is contained:
-// it fails its own result, never the worker or the process.
+// runOne executes one batch job: Certify under a "job" span, plus the
+// batch-only concerns around it. A panicking job — a buggy scheme, an
+// armed panic fault — is contained: it fails its own result, never the
+// worker or the process. The job's outcome and any cancellation are
+// counted, and the assignment is dropped so batch memory stays bounded by
+// the results.
 func (p *Pipeline) runOne(ctx context.Context, i int, job Job) (res JobResult) {
-	res = JobResult{Index: i}
-	defer func() {
-		if r := recover(); r != nil {
-			res.fail(fmt.Errorf("engine: job %d panicked: %v", i, r))
-		}
-	}()
 	if err := ctx.Err(); err != nil {
+		res = JobResult{Index: i}
 		res.fail(err)
 		return res
 	}
-	reg := p.Cache.Obs
-	if reg == nil {
-		// A registry-less cache still runs fully instrumented; the
-		// pipeline metrics land in the process-wide default registry.
-		reg = obs.Default()
-	}
+	reg := p.registry()
 	ctx, jsp := obs.Start(ctx, "job")
-	jsp.SetAttr("scheme", job.Scheme)
-	completed := false
 	defer func() {
+		if r := recover(); r != nil {
+			res = JobResult{Index: i}
+			res.fail(fmt.Errorf("engine: job %d panicked: %v", i, r))
+		}
 		jsp.End()
-		// A panic unwinds through here before the recover above runs, so
-		// an uncompleted job counts as failed even while res.Err is still
-		// unset.
 		outcome := "accepted"
 		switch {
-		case res.Err != nil || !completed:
+		case res.Err != nil:
 			outcome = "failed"
 		case !res.Accepted:
 			outcome = "rejected"
@@ -233,6 +253,38 @@ func (p *Pipeline) runOne(ctx context.Context, i int, job Job) (res JobResult) {
 			CancelledCounter(reg, ce.Phase).Inc()
 		}
 	}()
+	res, _, _ = p.Certify(ctx, job)
+	res.Index = i
+	return res
+}
+
+// registry is where the pipeline's phase histograms and job counters
+// land: the cache's registry, or — for a registry-less cache, which still
+// runs fully instrumented — the process-wide default.
+func (p *Pipeline) registry() *obs.Registry {
+	if p.Cache.Obs != nil {
+		return p.Cache.Obs
+	}
+	return obs.Default()
+}
+
+// Certify runs one job through every certification phase in order:
+// generate (when lazy), compile (through the cache), decompose
+// (prewarming the shared cache when the scheme reads it), prove, verify
+// (sequentially or on the network simulator), then the optional
+// adversarial sweep. A job carrying Certificates skips decompose and
+// prove and verifies those instead. Each phase runs under a child span of
+// ctx's span, lands one sample in its phase histogram, and receives its
+// weighted slice of any deadline on ctx (PhaseBudget); ctx's span is
+// annotated with the scheme, the vertex count and the verdict.
+//
+// A failed phase is reported in the result as a *PhaseError. Certify
+// returns the verified assignment and the compiled scheme when it got
+// that far, so callers can run further rounds over them. It does not
+// recover panics: a batch contains them per job, a server per request.
+func (p *Pipeline) Certify(ctx context.Context, job Job) (res JobResult, a cert.Assignment, s cert.Scheme) {
+	reg := p.registry()
+	span := obs.FromContext(ctx)
 	g, params := job.Graph, job.Params
 	if g == nil && job.Lazy != nil {
 		_, gsp := obs.Start(ctx, "generate")
@@ -240,15 +292,15 @@ func (p *Pipeline) runOne(ctx context.Context, i int, job Job) (res JobResult) {
 		g, params, err = job.Lazy()
 		gsp.End()
 		res.Generate = gsp.Duration()
-		PhaseHistogram(reg, "generate").Observe(res.Generate)
+		phaseHistogram(reg, "generate").Observe(res.Generate)
 		if err != nil {
-			res.fail(fmt.Errorf("generate: %w", err))
-			return res
+			res.failAt("generate", err)
+			return res, nil, nil
 		}
 	}
 	if g == nil {
-		res.fail(fmt.Errorf("engine: job %d has no graph", i))
-		return res
+		res.fail(fmt.Errorf("engine: job has no graph"))
+		return res, nil, nil
 	}
 	cctx, ccancel := PhaseBudget(ctx, "compile")
 	t0 := time.Now()
@@ -256,34 +308,38 @@ func (p *Pipeline) runOne(ctx context.Context, i int, job Job) (res JobResult) {
 	ccancel()
 	res.Compile = time.Since(t0)
 	if err != nil {
-		res.fail(err)
-		return res
+		res.failAt("compile", err)
+		return res, nil, nil
 	}
 	res.Scheme = s.Name()
-	jsp.SetAttr("n", g.N())
-	dctx, dcancel := PhaseBudget(ctx, "decompose")
-	res.Decompose = p.Cache.PrewarmDecomposition(dctx, s, g)
-	dcancel()
-	if err := ctx.Err(); err != nil {
-		// The prewarm swallows errors by design; do not hand a cancelled
-		// job to the context-less fallback paths below.
-		res.fail(&fault.CancelledError{Phase: "decompose", Cause: err})
-		return res
-	}
-	if err := provePre.Inject(); err != nil {
-		res.fail(fmt.Errorf("prove: %w", err))
-		return res
-	}
-	pctx, pcancel := PhaseBudget(ctx, "prove")
-	pctx, psp := obs.Start(pctx, "prove")
-	a, err := cert.ProveWithContext(pctx, s, g)
-	psp.End()
-	pcancel()
-	res.Prove = psp.Duration()
-	PhaseHistogram(reg, "prove").Observe(res.Prove)
-	if err != nil {
-		res.fail(fmt.Errorf("prove: %w", err))
-		return res
+	span.SetAttr("scheme", res.Scheme)
+	span.SetAttr("n", g.N())
+	a = job.Certificates
+	if a == nil {
+		dctx, dcancel := PhaseBudget(ctx, "decompose")
+		res.Decompose = p.Cache.prewarmDecomposition(dctx, s, g)
+		dcancel()
+		if err := ctx.Err(); err != nil {
+			// The prewarm swallows errors by design; do not hand a
+			// cancelled job to the prover's own fallback computation.
+			res.failAt("decompose", &fault.CancelledError{Phase: "decompose", Cause: err})
+			return res, nil, s
+		}
+		if err := provePre.Inject(); err != nil {
+			res.failAt("prove", err)
+			return res, nil, s
+		}
+		pctx, pcancel := PhaseBudget(ctx, "prove")
+		pctx, psp := obs.Start(pctx, "prove")
+		a, err = cert.ProveWithContext(pctx, s, g)
+		psp.End()
+		pcancel()
+		res.Prove = psp.Duration()
+		phaseHistogram(reg, "prove").Observe(res.Prove)
+		if err != nil {
+			res.failAt("prove", err)
+			return res, nil, s
+		}
 	}
 	res.MaxBits = a.MaxBits()
 	res.TotalBits = a.TotalBits()
@@ -291,32 +347,25 @@ func (p *Pipeline) runOne(ctx context.Context, i int, job Job) (res JobResult) {
 	vctx, vsp := obs.Start(vctx, "verify")
 	if job.Distributed {
 		vsp.SetAttr("mode", "distributed")
-		rep, rerr := p.sim().Run(vctx, g, s, a)
-		vsp.End()
-		vcancel()
-		res.Verify = vsp.Duration()
-		PhaseHistogram(reg, "verify").Observe(res.Verify)
-		if rerr != nil {
-			res.fail(fmt.Errorf("verify: %w", rerr))
-			return res
-		}
-		res.Distributed = true
-		res.Accepted = rep.Accepted
-		res.Rejecters = rep.Rejecters
+		var rep netsim.Report
+		rep, err = p.sim().Run(vctx, g, s, a)
+		res.Accepted, res.Rejecters = rep.Accepted, rep.Rejecters
 	} else {
 		vsp.SetAttr("mode", "sequential")
-		verdict, verr := cert.RunSequentialCtx(vctx, g, s, a)
-		vsp.End()
-		vcancel()
-		res.Verify = vsp.Duration()
-		PhaseHistogram(reg, "verify").Observe(res.Verify)
-		if verr != nil {
-			res.fail(fmt.Errorf("verify: %w", verr))
-			return res
-		}
-		res.Accepted = verdict.Accepted
-		res.Rejecters = verdict.Rejecters
+		var verdict cert.Result
+		verdict, err = cert.RunSequentialCtx(vctx, g, s, a)
+		res.Accepted, res.Rejecters = verdict.Accepted, verdict.Rejecters
 	}
+	vsp.End()
+	vcancel()
+	res.Verify = vsp.Duration()
+	phaseHistogram(reg, "verify").Observe(res.Verify)
+	if err != nil {
+		res.failAt("verify", err)
+		return res, a, s
+	}
+	res.Distributed = job.Distributed
+	span.SetAttr("accepted", res.Accepted)
 	if job.Sweep != nil && res.Accepted {
 		tampers := job.Sweep.Tampers
 		if len(tampers) == 0 {
@@ -327,17 +376,16 @@ func (p *Pipeline) runOne(ctx context.Context, i int, job Job) (res JobResult) {
 			trials = 10
 		}
 		sctx, ssp := obs.Start(ctx, "sweep")
-		sweep, serr := p.sim().Sweep(sctx, g, s, a, tampers, trials, job.Sweep.Seed)
+		sweep, err := p.sim().Sweep(sctx, g, s, a, tampers, trials, job.Sweep.Seed)
 		ssp.End()
-		PhaseHistogram(reg, "sweep").Observe(ssp.Duration())
-		if serr != nil {
-			res.fail(fmt.Errorf("sweep: %w", serr))
-			return res
+		phaseHistogram(reg, "sweep").Observe(ssp.Duration())
+		if err != nil {
+			res.failAt("sweep", err)
+			return res, a, s
 		}
 		res.Sweep = &sweep
 	}
-	completed = true
-	return res
+	return res, a, s
 }
 
 // BatchStats aggregates a batch's results.

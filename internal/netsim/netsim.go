@@ -93,17 +93,15 @@ func Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.Assignment) 
 	return Default.Run(ctx, g, s, a)
 }
 
-// effectiveWorkers resolves the worker count for n vertices.
-func (e *Engine) effectiveWorkers(n int) int {
+// WorkersFor is the worker count a round over n vertices runs with — the
+// Workers a Run over such a graph reports.
+func (e *Engine) WorkersFor(n int) int {
 	w := e.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	if w > n {
 		w = n
-	}
-	if w < 1 {
-		w = 1
 	}
 	return w
 }
@@ -141,7 +139,7 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.
 		return Report{}, &fault.CancelledError{Phase: "verify", Cause: err}
 	}
 	m := e.metrics()
-	workers := e.effectiveWorkers(n)
+	workers := e.WorkersFor(n)
 	if n == 0 {
 		m.rounds.Inc()
 		return Report{Accepted: true, Rounds: 1, Workers: 0}, nil

@@ -101,21 +101,17 @@ type MSOScheme struct {
 	// Prop is the certified property (library alias or compiled formula).
 	Prop Property
 	// DecompProvider, when set, supplies the tree decomposition (e.g. a
-	// generator's ground-truth witness or a shared decomposition cache).
-	// When nil, Prove computes one: the elimination heuristics first,
-	// exact branch-and-bound for graphs up to ExactLimit vertices when
-	// they miss the bound.
+	// generator's ground-truth witness). When no provider is set, Prove
+	// computes one: the elimination heuristics first, exact
+	// branch-and-bound for graphs up to ExactLimit vertices when they miss
+	// the bound.
 	DecompProvider func(g *graph.Graph) (*Decomposition, error)
-	// DecompProviderCtx, when set, is preferred over DecompProvider on
-	// context-carrying paths (ProveCtx), so a cache-backed decomposition
-	// computed on behalf of this prove is cooperatively cancellable.
+	// DecompProviderCtx, when set, is preferred over DecompProvider and
+	// receives the prove's context, so a decomposition computed on behalf
+	// of this prove is cooperatively cancellable. The engine sets it to
+	// its shared decomposition cache, and a non-nil value is how callers
+	// recognise a cache-backed scheme whose cache they can prewarm.
 	DecompProviderCtx func(ctx context.Context, g *graph.Graph) (*Decomposition, error)
-	// CacheBackedDecomp marks a DecompProvider that reads a shared
-	// decomposition cache. Callers holding a context can then prewarm the
-	// cache before Prove (which has no context) so decomposition time is
-	// attributed to its own observability phase instead of folding into
-	// prove time.
-	CacheBackedDecomp bool
 }
 
 var _ cert.Scheme = (*MSOScheme)(nil)

@@ -299,13 +299,3 @@ type ResultJSON struct {
 	MaxBits   int   `json:"max_bits"`
 	TotalBits int   `json:"total_bits"`
 }
-
-// ResultToJSON folds a referee result and its assignment into JSON form.
-func ResultToJSON(res cert.Result, a cert.Assignment) ResultJSON {
-	return ResultJSON{
-		Accepted:  res.Accepted,
-		Rejecters: res.Rejecters,
-		MaxBits:   a.MaxBits(),
-		TotalBits: a.TotalBits(),
-	}
-}
