@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race fuzz-short bench-smoke metrics-smoke slo slo-smoke chaos-smoke ci bench bench-engine bench-netsim bench-treewidth bench-logic bench-obs bench-large bench-gate bench-json bench-compare fmt-check lint cover clean
+.PHONY: all build vet test test-race fuzz-short bench-smoke perfbench-smoke metrics-smoke slo slo-smoke chaos-smoke ci bench bench-large fmt-check lint cover clean
 
 all: ci
 
@@ -31,6 +31,17 @@ fuzz-short:
 # every benchmark body.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# perfbench-smoke is the live benchmark gate: perfbench's own unit tests,
+# then a few seconds of the service-mix workload against a certserver
+# built from this tree. perfbench exits non-zero on any wrong answer — a
+# /verify or /simulate verdict that disagrees with the in-process referee,
+# a rejected honest certificate, or certificate bytes that differ from
+# ProveCtx — so this is an end-to-end correctness check of the live
+# server, not only a timing run.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+	bash perfbench/run.sh --workload service-mix --seed 1 --seconds 3 --trace 0
 
 # metrics-smoke is the observability gate: boot a real certserver on a
 # loopback port, drive one request, scrape /metrics and validate every
@@ -115,10 +126,10 @@ chaos-smoke:
 # lint clean (certlint runs before the tests: an invariant violation should
 # fail fast, not hide behind a long test run), and pass — including under
 # the race detector, a short parser fuzz, a one-iteration benchmark smoke
-# run, the committed benchmark-snapshot gate, a live /metrics exposition
-# check, a short sustained-load SLO smoke, a seeded fault-injection
-# smoke, and the internal/lint coverage floor.
-ci: fmt-check build vet lint test test-race fuzz-short bench-smoke bench-gate metrics-smoke slo-smoke chaos-smoke cover
+# run, a short live perfbench run, a live /metrics exposition check, a
+# short sustained-load SLO smoke, a seeded fault-injection smoke, and the
+# internal/lint coverage floor.
+ci: fmt-check build vet lint test test-race fuzz-short bench-smoke perfbench-smoke metrics-smoke slo-smoke chaos-smoke cover
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -144,84 +155,17 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE ./...
 
-# bench-engine runs only the certification-engine benchmarks: cached vs
-# uncached compilation and batch pipeline throughput at 1/4/8 workers.
-bench-engine:
-	$(GO) test -bench=. -benchmem -run=NONE ./internal/engine
-
-# bench-netsim compares the sharded round engine against the legacy
-# goroutine-per-vertex simulator (allocations, wall time, n up to 1e5).
-bench-netsim:
-	$(GO) test -bench=. -benchmem -run=NONE ./internal/netsim
-
-# bench-treewidth measures the decomposition heuristics, the exact solver,
-# and the tw-mso prove/verify round trip.
-bench-treewidth:
-	$(GO) test -bench=. -benchmem -run=NONE ./internal/treewidth
-
-# bench-logic measures the formula pipeline: parse, canonicalize,
-# compile-from-formula cached vs uncached, the EMSO clique-locality
-# compiler and the generalized Courcelle DP (the E13 timing set).
-bench-logic:
-	$(GO) test -bench=. -benchmem -run=NONE ./internal/logic
-	$(GO) test -bench='CompileFromFormula|FormulaKey' -benchmem -run=NONE ./internal/engine
-	$(GO) test -bench='EMSO' -benchmem -run=NONE ./internal/treewidth
-
-# bench-obs runs this PR's benchmark set — the PR5 packages plus the
-# observability primitives and the instrumented-vs-bare pipeline pair —
-# and emits BENCH_PR6.json, then gates it against the committed
-# BENCH_PR5.json snapshot (>25% ns/op regression on any shared benchmark
-# fails), so the metrics layer proves it did not tax the hot paths.
-bench-obs:
-	$(GO) test -bench=. -benchmem -run=NONE \
-		./internal/logic ./internal/engine ./internal/treewidth ./internal/obs > bench-raw.tmp
-	$(GO) run ./cmd/benchjson < bench-raw.tmp > BENCH_PR6.json
-	@rm -f bench-raw.tmp
-	@echo wrote BENCH_PR6.json
-	$(GO) run ./cmd/benchjson -compare BENCH_PR5.json BENCH_PR6.json
-
-# bench-large is the million-vertex acceptance instrument: the shared
-# benchmark set (the BENCH_PR6 packages) plus the large-n raw-speed
-# benchmarks — O(n+m) generators, stream encode/decode, parallel sparse
+# bench-large prints raw `go test` numbers for the million-vertex
+# benchmarks: the shared benchmark packages plus the large-n raw-speed
+# set — O(n+m) generators, stream encode/decode, parallel sparse
 # decomposition and the tw-mso prove+verify round trip at n=1e5 and
-# (ungated by BENCH_LARGE=1) n=1e6 — emitting BENCH_PR9.json, then the
-# regression gate against the committed BENCH_PR6.json snapshot.
+# (ungated by BENCH_LARGE=1) n=1e6. It writes no file and gates nothing;
+# perfbench is the benchmark of record.
 bench-large:
 	BENCH_LARGE=1 $(GO) test -p 1 -bench=. -benchmem -run=NONE \
 		-benchtime=3s -timeout=60m \
 		./internal/logic ./internal/engine ./internal/treewidth ./internal/obs \
-		./internal/wire ./internal/graphgen > bench-raw.tmp
-	$(GO) run ./cmd/benchjson < bench-raw.tmp > BENCH_PR9.json
-	@rm -f bench-raw.tmp
-	@echo wrote BENCH_PR9.json
-	$(GO) run ./cmd/benchjson -compare BENCH_PR6.json BENCH_PR9.json
-
-# bench-gate re-checks the committed snapshots without re-running the
-# benchmarks (seconds, so ci affords it on every run): any shared
-# benchmark that regressed >25% ns/op between the PR6 and PR9 artifacts
-# fails. Rerun `make bench-large` to refresh BENCH_PR9.json on perf PRs.
-bench-gate:
-	$(GO) run ./cmd/benchjson -compare BENCH_PR6.json BENCH_PR9.json
-
-# bench-json runs the logic, engine and treewidth benchmarks and emits
-# machine-readable BENCH_PR5.json, so the perf trajectory accumulates as
-# data across PRs (BENCH_PR3/4.json stay committed as history). The raw
-# output goes through a temp file (not a pipe) so a benchmark failure
-# fails the target instead of being swallowed.
-bench-json:
-	$(GO) test -bench=. -benchmem -run=NONE \
-		./internal/logic ./internal/engine ./internal/treewidth > bench-raw.tmp
-	$(GO) run ./cmd/benchjson < bench-raw.tmp > BENCH_PR5.json
-	@rm -f bench-raw.tmp
-	@echo wrote BENCH_PR5.json
-
-# bench-compare is the regression gate between committed snapshots: a
-# per-benchmark delta table, non-zero exit when any shared benchmark's
-# ns/op regressed by more than 25%. Run it after bench-json to prove a
-# perf PR did not pay for one hot path with another.
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_PR4.json BENCH_PR5.json
+		./internal/wire ./internal/graphgen
 
 clean:
 	$(GO) clean ./...
-	rm -f bench-raw.tmp

@@ -156,8 +156,8 @@ func TestBatchPanicPoisonedJob(t *testing.T) {
 		})
 	}
 	var out struct {
-		Stats   engine.BatchStats `json:"stats"`
-		Results []batchJobResult  `json:"results"`
+		Stats   engine.BatchStats  `json:"stats"`
+		Results []engine.JobResult `json:"results"`
 	}
 	resp := postJSON(t, ts.URL+"/batch", map[string]any{"workers": 2, "jobs": jobs}, &out)
 	if resp.StatusCode != http.StatusOK {
@@ -229,7 +229,7 @@ func TestProvePreFaultReachesEveryCertifyPath(t *testing.T) {
 			resp, body := tc.post(t, ts.URL)
 			if tc.name == "batch" {
 				var out struct {
-					Results []batchJobResult `json:"results"`
+					Results []engine.JobResult `json:"results"`
 				}
 				if err := json.Unmarshal(body, &out); err != nil {
 					t.Fatalf("decode %s: %v", body, err)

@@ -611,24 +611,6 @@ type batchRequest struct {
 	Tamper *wire.TamperSpec `json:"tamper,omitempty"`
 }
 
-// batchJobResult is the JSON form of engine.JobResult.
-type batchJobResult struct {
-	Index       int                 `json:"index"`
-	Scheme      string              `json:"scheme,omitempty"`
-	Accepted    bool                `json:"accepted"`
-	Rejecters   []int               `json:"rejecters,omitempty"`
-	MaxBits     int                 `json:"max_bits"`
-	TotalBits   int                 `json:"total_bits"`
-	GenerateNS  int64               `json:"generate_ns"`
-	CompileNS   int64               `json:"compile_ns"`
-	DecomposeNS int64               `json:"decompose_ns,omitempty"`
-	ProveNS     int64               `json:"prove_ns"`
-	VerifyNS    int64               `json:"verify_ns"`
-	Distributed bool                `json:"distributed,omitempty"`
-	Sweep       *netsim.SweepReport `json:"sweep,omitempty"`
-	Error       string              `json:"error,omitempty"`
-}
-
 // maxBatchJobs bounds a single batch; larger workloads should be split
 // across requests.
 const maxBatchJobs = 10000
@@ -711,30 +693,11 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	out := make([]batchJobResult, len(results))
-	for i, res := range results {
-		out[i] = batchJobResult{
-			Index:       res.Index,
-			Scheme:      res.Scheme,
-			Accepted:    res.Accepted,
-			Rejecters:   res.Rejecters,
-			MaxBits:     res.MaxBits,
-			TotalBits:   res.TotalBits,
-			GenerateNS:  res.Generate.Nanoseconds(),
-			CompileNS:   res.Compile.Nanoseconds(),
-			DecomposeNS: res.Decompose.Nanoseconds(),
-			ProveNS:     res.Prove.Nanoseconds(),
-			VerifyNS:    res.Verify.Nanoseconds(),
-			Distributed: res.Distributed,
-			Sweep:       res.Sweep,
-			Error:       res.Error,
-		}
-	}
 	writeJSON(w, http.StatusOK, struct {
-		Stats   engine.BatchStats `json:"stats"`
-		WallNS  int64             `json:"wall_ns"`
-		Results []batchJobResult  `json:"results"`
-	}{engine.Summarize(results), wallNS, out})
+		Stats   engine.BatchStats  `json:"stats"`
+		WallNS  int64              `json:"wall_ns"`
+		Results []engine.JobResult `json:"results"`
+	}{engine.Summarize(results), wallNS, results})
 }
 
 // decomposeRequest is the POST /decompose payload: compute a tree

@@ -3,16 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cert"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/graphgen"
+	"repro/internal/netsim"
 	"repro/internal/registry"
 	"repro/internal/treewidth"
 	"repro/internal/wire"
@@ -194,9 +197,9 @@ func TestBatchEndpoint(t *testing.T) {
 		})
 	}
 	var out struct {
-		Stats   engine.BatchStats `json:"stats"`
-		WallNS  int64             `json:"wall_ns"`
-		Results []batchJobResult  `json:"results"`
+		Stats   engine.BatchStats  `json:"stats"`
+		WallNS  int64              `json:"wall_ns"`
+		Results []engine.JobResult `json:"results"`
 	}
 	resp := postJSON(t, ts.URL+"/batch", map[string]any{"workers": 8, "jobs": jobs}, &out)
 	if resp.StatusCode != http.StatusOK {
@@ -235,6 +238,38 @@ func TestBatchEndpoint(t *testing.T) {
 	// generator witness, so they bypass.
 	if health.Cache.Misses != 2 || health.Cache.Hits < 100 || health.Cache.Bypasses != 10 {
 		t.Fatalf("cache stats = %+v", health.Cache)
+	}
+}
+
+// /batch serializes engine.JobResult as is. The literal is the JSON the
+// endpoint has always emitted for a fully populated result — integer
+// nanosecond phase timings, Err hidden behind its Error text — so a tag
+// or type change on JobResult cannot silently change the wire shape.
+func TestBatchJobResultJSON(t *testing.T) {
+	res := engine.JobResult{
+		Index: 3, Scheme: "tw-mso", Accepted: true, Rejecters: []int{1, 4},
+		MaxBits: 57, TotalBits: 912,
+		Generate: 1500 * time.Nanosecond, Compile: 2 * time.Millisecond,
+		Decompose: 3 * time.Second, Prove: 4, Verify: 5,
+		Distributed: true,
+		Sweep: &netsim.SweepReport{
+			Stats: []netsim.TamperStat{{Tamper: "flip-bits-1", Trials: 4, NoOps: 1,
+				Mutated: 3, Detected: 3, Rejecters: 6, VerifyNS: 700}},
+			AllDetected: true,
+		},
+		Err: errors.New("boom"), Error: "boom",
+	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"index":3,"scheme":"tw-mso","accepted":true,"rejecters":[1,4],` +
+		`"max_bits":57,"total_bits":912,"generate_ns":1500,"compile_ns":2000000,` +
+		`"decompose_ns":3000000000,"prove_ns":4,"verify_ns":5,"distributed":true,` +
+		`"sweep":{"stats":[{"tamper":"flip-bits-1","trials":4,"noops":1,"mutated":3,` +
+		`"detected":3,"rejecters":6,"verify_ns":700}],"all_detected":true},"error":"boom"}`
+	if string(got) != want {
+		t.Fatalf("JobResult JSON\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -379,8 +414,8 @@ func TestBatchTamperField(t *testing.T) {
 		}
 	}
 	var out struct {
-		Stats   engine.BatchStats `json:"stats"`
-		Results []batchJobResult  `json:"results"`
+		Stats   engine.BatchStats  `json:"stats"`
+		Results []engine.JobResult `json:"results"`
 	}
 	resp := postJSON(t, ts.URL+"/batch", map[string]any{
 		"jobs":        jobs,
@@ -648,8 +683,8 @@ func TestBatchTreewidthDecompositionReuse(t *testing.T) {
 		"graph":  wire.GraphToJSON(graphgen.Cycle(30)),
 	}
 	var out struct {
-		Stats   engine.BatchStats `json:"stats"`
-		Results []batchJobResult  `json:"results"`
+		Stats   engine.BatchStats  `json:"stats"`
+		Results []engine.JobResult `json:"results"`
 	}
 	resp := postJSON(t, ts.URL+"/batch", map[string]any{
 		"workers": 4,

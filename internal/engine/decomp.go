@@ -209,9 +209,9 @@ func (c *Cache) attachDecompCache(s cert.Scheme) {
 // attributed to its own phase instead of folding into prove time. The
 // prewarm is the counted logical cache request for the job.
 //
-// Errors are deliberately swallowed: on a failed or too-wide cached
-// decomposition the scheme falls back to its own computation (including
-// exact search), so the job may still succeed — the fallback cost shows
+// Errors are deliberately swallowed: on a failed cached decomposition the
+// scheme falls back to its own computation, and on a too-wide one to
+// exact search, so the job may still succeed — the fallback cost shows
 // up as prove time.
 func (c *Cache) prewarmDecomposition(ctx context.Context, s cert.Scheme, g *graph.Graph) time.Duration {
 	if c.Decomps == nil {

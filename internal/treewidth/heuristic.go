@@ -314,18 +314,10 @@ func HeuristicCtx(ctx context.Context, g *graph.Graph) (*Decomposition, string, 
 	if g.N() > parallelThreshold {
 		return HeuristicParallelCtx(ctx, g, 0)
 	}
-	df, _, wf, err := MinFillCtx(ctx, g)
-	if err != nil {
+	if err := checkHeuristicInput(g); err != nil {
 		return nil, "", err
 	}
-	dd, _, wd, err := MinDegreeCtx(ctx, g)
-	if err != nil {
-		return nil, "", err
-	}
-	if wd < wf {
-		return dd, "min-degree", nil
-	}
-	return df, "min-fill", nil
+	return blockContest(ctx, g)
 }
 
 // Degeneracy returns the graph's degeneracy (the max over the elimination

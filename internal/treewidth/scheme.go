@@ -110,7 +110,9 @@ type MSOScheme struct {
 	// receives the prove's context, so a decomposition computed on behalf
 	// of this prove is cooperatively cancellable. The engine sets it to
 	// its shared decomposition cache, and a non-nil value is how callers
-	// recognise a cache-backed scheme whose cache they can prewarm.
+	// recognise a cache-backed scheme whose cache they can prewarm. Its
+	// decomposition is taken to be HeuristicCtx's, so a too-wide one goes
+	// straight to exact search instead of rerunning the heuristic.
 	DecompProviderCtx func(ctx context.Context, g *graph.Graph) (*Decomposition, error)
 }
 
@@ -362,10 +364,10 @@ func (s *MSOScheme) Holds(g *graph.Graph) (bool, error) {
 var errTooWide = errors.New("treewidth exceeds the certified bound")
 
 // decomposition resolves the width-<=T decomposition both Prove and Holds
-// run on: the provider's (validated; a too-wide or failing witness falls
-// back to computation), otherwise the better heuristic, otherwise exact
-// branch-and-bound for graphs up to ExactLimit vertices. A proven
-// no-instance returns an error wrapping errTooWide.
+// run on: the provider's (validated; a failing witness, or a too-wide
+// DecompProvider one, falls back to computation), otherwise the better
+// heuristic, otherwise exact branch-and-bound for graphs up to ExactLimit
+// vertices. A proven no-instance returns an error wrapping errTooWide.
 func (s *MSOScheme) decomposition(g *graph.Graph) (*Decomposition, error) {
 	return s.decompositionCtx(context.Background(), g)
 }
@@ -391,6 +393,11 @@ func (s *MSOScheme) decompositionCtx(ctx context.Context, g *graph.Graph) (*Deco
 			if d.Width() <= s.T {
 				return d, nil
 			}
+			if s.DecompProviderCtx != nil {
+				// The cache's decomposition is HeuristicCtx(g) already;
+				// rerunning the heuristic would rebuild the same one.
+				return s.exactDecomposition(ctx, g)
+			}
 		}
 		// A missing or too-wide witness is not a proof of anything;
 		// fall through to computing one.
@@ -402,6 +409,13 @@ func (s *MSOScheme) decompositionCtx(ctx context.Context, g *graph.Graph) (*Deco
 	if d.Width() <= s.T {
 		return d, nil
 	}
+	return s.exactDecomposition(ctx, g)
+}
+
+// exactDecomposition is the last resort once the heuristic decomposition
+// is too wide: exact branch-and-bound up to ExactLimit vertices, an
+// undecided error above it.
+func (s *MSOScheme) exactDecomposition(ctx context.Context, g *graph.Graph) (*Decomposition, error) {
 	if g.N() > ExactLimit {
 		return nil, fmt.Errorf("treewidth: %s: no decomposition of width <= %d found for n=%d (heuristic; exact limited to %d vertices)",
 			s.Name(), s.T, g.N(), ExactLimit)

@@ -3,9 +3,11 @@ package treewidth
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cert"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/graphgen"
 	"repro/internal/netsim"
@@ -466,6 +468,30 @@ func TestSchemeNoInstances(t *testing.T) {
 		if rep.Breaches > 0 {
 			t.Fatalf("%s: %d soundness breaches at trials %v", tc.name, rep.Breaches, rep.Breach)
 		}
+	}
+}
+
+// A too-wide decomposition from the engine-cache slot is already the
+// heuristic's, so the scheme must not rerun the heuristic: above
+// ExactLimit it reports the undecided error at once. The provider cancels
+// the context after answering; a rerun heuristic would notice and return
+// a *fault.CancelledError instead.
+func TestCachedTooWideSkipsHeuristicRerun(t *testing.T) {
+	g, _ := graphgen.KTree(5000, 3, rand.New(rand.NewSource(13)))
+	prop, _ := PropertyByName("tw-bound")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := &MSOScheme{T: 2, Prop: prop, DecompProviderCtx: func(context.Context, *graph.Graph) (*Decomposition, error) {
+		defer cancel()
+		d, _, err := Heuristic(g)
+		return d, err
+	}}
+	_, err := s.ProveCtx(ctx, g)
+	if _, ok := fault.Cancelled(err); ok {
+		t.Fatalf("heuristic reran on the cached too-wide decomposition: %v", err)
+	}
+	if err == nil || !strings.Contains(err.Error(), "no decomposition of width <= 2 found for n=5000") {
+		t.Fatalf("err = %v, want the undecided too-wide error", err)
 	}
 }
 

@@ -92,27 +92,6 @@ func TestStreamMultipleChunks(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesV1Semantics: v1 and v2 decode to the same graph.
-func TestStreamMatchesV1Semantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	g := graph.New(40)
-	for u := 0; u < 40; u++ {
-		for v := u + 1; v < 40; v++ {
-			if rng.Float64() < 0.2 {
-				g.MustAddEdge(u, v)
-			}
-		}
-	}
-	v1, err := DecodeGraph(EncodeGraph(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := streamRoundTrip(t, g)
-	if !reflect.DeepEqual(v1.Edges(), v2.Edges()) {
-		t.Fatal("v1 and v2 decode to different graphs")
-	}
-}
-
 // hostileStream builds a raw v2 payload from parts for decoder attacks.
 func hostileStream(flags byte, fields ...uint64) []byte {
 	out := append([]byte(nil), streamMagic[:]...)
