@@ -19,11 +19,14 @@ test:
 test-race:
 	$(GO) test -race -shuffle=on ./...
 
-# fuzz-short is the hostile-input gate on the formula parser: formulas
-# arrive over HTTP, so every ci run hammers Parse for a few seconds on top
-# of the committed regression corpus (which plain `go test` replays).
+# fuzz-short is the hostile-input gate on the decoders of untrusted bytes:
+# formulas arrive over HTTP, and /verify and /simulate hand submitted
+# tw-mso certificates to the payload decoder, so every ci run hammers
+# Parse and DecodePayload for a few seconds each on top of the committed
+# regression corpora (which plain `go test` replays).
 fuzz-short:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=5s ./internal/logic
+	$(GO) test -run=FuzzDecodePayload -fuzz=FuzzDecodePayload -fuzztime=5s ./internal/treewidth
 
 # bench-smoke compiles and runs every benchmark exactly once: benchmarks
 # are the perf PRs' acceptance instruments, so they must not bit-rot

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -29,11 +31,26 @@ func TestOverloadShedsInsteadOfCollapsing(t *testing.T) {
 	defer ts.Close()
 
 	body := []byte(`{"scheme":"tree-mso","params":{"property":"perfect-matching"},"generator":{"kind":"path","n":200000}}`)
+	// Size the measured window from one certify timed on this server: the
+	// proof admitted during warm-up holds the only slot for that long, and
+	// under -race on a loaded machine it can outlast a fixed window, which
+	// would shed every measured arrival. Three proofs' worth leaves room
+	// for later arrivals to be admitted.
+	t0 := time.Now()
+	resp, err := ts.Client().Post(ts.URL+"/certify", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("calibration certify: status %d", resp.StatusCode)
+	}
+	window := max(1500*time.Millisecond, 3*time.Since(t0))
 	rep, err := loadgen.Run(context.Background(), loadgen.Options{
 		BaseURL:  ts.URL,
 		Rate:     200,
 		Warmup:   200 * time.Millisecond,
-		Duration: 1500 * time.Millisecond,
+		Duration: window,
 		Seed:     9,
 		Timeout:  15 * time.Second,
 		Mix: []loadgen.Target{{
@@ -90,7 +107,7 @@ func TestOverloadShedsInsteadOfCollapsing(t *testing.T) {
 	}
 
 	// And /healthz reads the same handles.
-	resp, err := ts.Client().Get(ts.URL + "/healthz")
+	resp, err = ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,19 +156,29 @@ func (j jobJSON) resolve(reg *registry.Registry) (*graph.Graph, registry.Params,
 	if err := j.Params.validate(); err != nil {
 		return nil, params, err
 	}
-	switch {
-	case j.Graph != nil && j.Generator != nil:
-		return nil, params, fmt.Errorf("job has both a graph and a generator")
-	case j.Graph != nil:
+	if err := checkGraphSource(j.Graph, j.Generator); err != nil {
+		return nil, params, fmt.Errorf("job %w", err)
+	}
+	if j.Graph != nil {
 		g, err := j.Graph.ToGraph()
 		return g, params, err
-	case j.Generator != nil:
-		g, witness, err := j.Generator.Build()
-		attachWitness(&params, witness, reg, j.Scheme)
-		return g, params, err
-	default:
-		return nil, params, fmt.Errorf("job has neither a graph nor a generator")
 	}
+	g, witness, err := j.Generator.Build()
+	attachWitness(&params, witness, reg, j.Scheme)
+	return g, params, err
+}
+
+// checkGraphSource rejects a request that names both an explicit graph and
+// a generator, or neither. The error reads as a predicate ("has both ...")
+// for each caller to prefix with its subject.
+func checkGraphSource(g *wire.GraphJSON, gen *wire.GeneratorSpec) error {
+	switch {
+	case g != nil && gen != nil:
+		return errors.New("has both a graph and a generator")
+	case g == nil && gen == nil:
+		return errors.New("has neither a graph nor a generator")
+	}
+	return nil
 }
 
 // attachWitness copies the witness parts the named scheme declares it can
@@ -643,43 +653,40 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "job %d: %v", i, err)
 			return
 		}
-		switch {
-		case jj.Graph != nil && jj.Generator != nil:
-			writeError(w, http.StatusBadRequest, "job %d: has both a graph and a generator", i)
+		if err := checkGraphSource(jj.Graph, jj.Generator); err != nil {
+			writeError(w, http.StatusBadRequest, "job %d: %v", i, err)
 			return
-		case jj.Graph != nil:
+		}
+		if jj.Graph != nil {
 			g, err := jj.Graph.ToGraph()
 			if err != nil {
 				writeError(w, http.StatusBadRequest, "job %d: %v", i, err)
 				return
 			}
 			jobs[i] = engine.Job{Graph: g, Scheme: jj.Scheme, Params: jj.Params.toParams(), Distributed: req.Distributed, Sweep: sweep}
-		case jj.Generator != nil:
-			// Validate up front (so bad specs fail the whole request),
-			// but build inside a worker: residency stays bounded by the
-			// worker count and generation itself runs in parallel.
-			if err := jj.Generator.Validate(); err != nil {
-				writeError(w, http.StatusBadRequest, "job %d: %v", i, err)
-				return
-			}
-			gen, params, scheme := *jj.Generator, jj.Params.toParams(), jj.Scheme
-			jobs[i] = engine.Job{
-				Scheme:      jj.Scheme,
-				Distributed: req.Distributed,
-				Sweep:       sweep,
-				Lazy: func() (*graph.Graph, registry.Params, error) {
-					g, witness, err := gen.Build()
-					if err != nil {
-						return nil, params, err
-					}
-					p := params
-					attachWitness(&p, witness, s.reg, scheme)
-					return g, p, nil
-				},
-			}
-		default:
-			writeError(w, http.StatusBadRequest, "job %d: has neither a graph nor a generator", i)
+			continue
+		}
+		// Validate up front (so bad specs fail the whole request),
+		// but build inside a worker: residency stays bounded by the
+		// worker count and generation itself runs in parallel.
+		if err := jj.Generator.Validate(); err != nil {
+			writeError(w, http.StatusBadRequest, "job %d: %v", i, err)
 			return
+		}
+		gen, params, scheme := *jj.Generator, jj.Params.toParams(), jj.Scheme
+		jobs[i] = engine.Job{
+			Scheme:      jj.Scheme,
+			Distributed: req.Distributed,
+			Sweep:       sweep,
+			Lazy: func() (*graph.Graph, registry.Params, error) {
+				g, witness, err := gen.Build()
+				if err != nil {
+					return nil, params, err
+				}
+				p := params
+				attachWitness(&p, witness, s.reg, scheme)
+				return g, p, nil
+			},
 		}
 	}
 	pipe := s.pipe
@@ -738,19 +745,16 @@ func (s *server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
+	if err := checkGraphSource(req.Graph, req.Generator); err != nil {
+		writeError(w, http.StatusBadRequest, "request %v", err)
+		return
+	}
 	var g *graph.Graph
 	var err error
-	switch {
-	case req.Graph != nil && req.Generator != nil:
-		writeError(w, http.StatusBadRequest, "request has both a graph and a generator")
-		return
-	case req.Graph != nil:
+	if req.Graph != nil {
 		g, err = req.Graph.ToGraph()
-	case req.Generator != nil:
+	} else {
 		g, _, err = req.Generator.Build()
-	default:
-		writeError(w, http.StatusBadRequest, "request has neither a graph nor a generator")
-		return
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

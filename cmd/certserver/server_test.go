@@ -518,6 +518,47 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestGraphSourceErrors pins the exact 400 text for a request naming both
+// a graph and a generator, or neither, on every endpoint that takes one.
+func TestGraphSourceErrors(t *testing.T) {
+	ts := newTestServer(t)
+	job := func(graph, generator bool) map[string]any {
+		j := map[string]any{"scheme": "tree-mso", "params": map[string]any{"property": "perfect-matching"}}
+		if graph {
+			j["graph"] = wire.GraphToJSON(graphgen.Path(2))
+		}
+		if generator {
+			j["generator"] = map[string]any{"kind": "path", "n": 2}
+		}
+		return j
+	}
+	source := func(graph, generator bool) map[string]any {
+		j := job(graph, generator)
+		delete(j, "scheme")
+		delete(j, "params")
+		return j
+	}
+	cases := []struct {
+		path string
+		body map[string]any
+		want string
+	}{
+		{"/certify", job(true, true), "job has both a graph and a generator"},
+		{"/certify", job(false, false), "job has neither a graph nor a generator"},
+		{"/batch", map[string]any{"jobs": []any{job(true, true)}}, "job 0: has both a graph and a generator"},
+		{"/batch", map[string]any{"jobs": []any{job(true, false), job(false, false)}}, "job 1: has neither a graph nor a generator"},
+		{"/decompose", source(true, true), "request has both a graph and a generator"},
+		{"/decompose", source(false, false), "request has neither a graph nor a generator"},
+	}
+	for _, tc := range cases {
+		var out errorJSON
+		resp := postJSON(t, ts.URL+tc.path, tc.body, &out)
+		if resp.StatusCode != http.StatusBadRequest || out.Error != tc.want {
+			t.Errorf("%s %v: status %d error %q, want 400 %q", tc.path, tc.body, resp.StatusCode, out.Error, tc.want)
+		}
+	}
+}
+
 // Oversized batches are refused before any work happens.
 func TestBatchLimit(t *testing.T) {
 	ts := newTestServer(t)

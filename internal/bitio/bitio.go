@@ -79,11 +79,6 @@ func (w *Writer) WriteUvarint(v uint64) {
 	}
 }
 
-// WriteBytesOf appends all bits from another writer.
-func (w *Writer) WriteBytesOf(other *Writer) {
-	w.bits = append(w.bits, other.bits...)
-}
-
 // Bits returns the accumulated bit string. The returned slice aliases the
 // writer's internal storage; callers must not modify it.
 func (w *Writer) Bits() []byte { return w.bits }

@@ -156,19 +156,6 @@ func TestMixedStreamQuick(t *testing.T) {
 	}
 }
 
-func TestWriteBytesOf(t *testing.T) {
-	var a, b Writer
-	a.WriteUint(5, 3)
-	b.WriteUint(2, 2)
-	a.WriteBytesOf(&b)
-	r := NewReader(a.Bits())
-	x, _ := r.ReadUint(3)
-	y, _ := r.ReadUint(2)
-	if x != 5 || y != 2 {
-		t.Fatalf("got (%d,%d), want (5,2)", x, y)
-	}
-}
-
 func TestCloneIsIndependent(t *testing.T) {
 	var w Writer
 	w.WriteUint(3, 2)

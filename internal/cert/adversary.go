@@ -243,15 +243,3 @@ func certificatesEqual(a, b Certificate) bool {
 	}
 	return true
 }
-
-func assignmentsEqual(a, b Assignment) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !certificatesEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}

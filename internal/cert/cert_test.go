@@ -270,3 +270,15 @@ func TestRandomAssignmentShape(t *testing.T) {
 		}
 	}
 }
+
+func assignmentsEqual(a, b Assignment) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !certificatesEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}

@@ -14,9 +14,11 @@
 //
 // The package also owns the enum alias tables: every property name the
 // registry historically dispatched on ("perfect-matching", "2-colorable",
-// "connected", ...) is defined here as an alias for a library sentence, so
+// "connected", ...) resolves here to an alias for a library sentence, so
 // the enum path and the formula path provably certify the same thing —
 // the three per-scheme property switches collapse into this one table.
+// The tw-mso aliases are read from treewidth's property library, which
+// stays their single definition.
 package compile
 
 import (
@@ -74,19 +76,13 @@ var treeBuilders = []treeBuilder{
 	{Alias{"tree-mso", "leaves->=3", logic.LeavesAtLeast(3)}, func() (*automata.TreeScheme, error) { return automata.NewLeavesAtLeastScheme(3) }},
 }
 
-// twAliases and universalAliases name the sentences behind the other two
-// historic enums. The tw-mso names resolve through the same EMSO compiler
-// as arbitrary formulas; the universal names additionally keep their
-// native Go predicates in the registry (a formula evaluates by exhaustive
-// model checking, which for MSO sentences is capped at
-// logic.MaxSetQuantVertices vertices — the native predicates have no such
-// limit, so the enum path stays the scalable one).
-var twAliases = []Alias{
-	{"tw-mso", "tw-bound", logic.TrueSentence()},
-	{"tw-mso", "2-colorable", logic.TwoColorable()},
-	{"tw-mso", "3-colorable", logic.ThreeColorable()},
-}
-
+// universalAliases names the sentences behind the universal enum. The
+// tw-mso names come from treewidth's property library and resolve through
+// the same EMSO compiler as arbitrary formulas; the universal names
+// additionally keep their native Go predicates in the registry (a formula
+// evaluates by exhaustive model checking, which for MSO sentences is
+// capped at logic.MaxSetQuantVertices vertices — the native predicates
+// have no such limit, so the enum path stays the scalable one).
 var universalAliases = []Alias{
 	{"universal", "connected", logic.Connected()},
 	{"universal", "diameter-<=2", logic.DiameterAtMost2()},
@@ -112,7 +108,13 @@ func Aliases(kind string) []Alias {
 		}
 		return out
 	case "tw-mso":
-		return append([]Alias(nil), twAliases...)
+		names := treewidth.Properties()
+		out := make([]Alias, len(names))
+		for i, name := range names {
+			p, _ := treewidth.PropertyByName(name)
+			out[i] = Alias{"tw-mso", name, p.Phi.Source}
+		}
+		return out
 	case "universal":
 		return append([]Alias(nil), universalAliases...)
 	default:

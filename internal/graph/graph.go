@@ -247,32 +247,6 @@ func (g *Graph) BFSFrom(src int) []int {
 	return g.CSR().BFSFrom(src)
 }
 
-// bfsFromRef is the retained slice-adjacency reference for BFSFrom; the
-// differential test pins the CSR traversal byte-identical to it.
-func (g *Graph) bfsFromRef(src int) []int {
-	dist := make([]int, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	if src < 0 || src >= g.N() {
-		return dist
-	}
-	dist[src] = 0
-	queue := make([]int, 0, g.N())
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.adj[u] {
-			if dist[v] == -1 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
 // Connected reports whether the graph is connected. The empty graph is not
 // connected (the paper considers non-empty graphs only).
 func (g *Graph) Connected() bool {
@@ -292,34 +266,6 @@ func (g *Graph) Connected() bool {
 // each sorted, ordered by smallest contained index.
 func (g *Graph) Components() [][]int {
 	return g.CSR().Components()
-}
-
-// componentsRef is the retained slice-adjacency reference for Components.
-func (g *Graph) componentsRef() [][]int {
-	seen := make([]bool, g.N())
-	var comps [][]int
-	for s := 0; s < g.N(); s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		stack := []int{s}
-		seen[s] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for _, v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
 }
 
 // InducedSubgraph returns the subgraph induced by the given vertex indices

@@ -87,91 +87,12 @@ func (g *Graph) ArticulationPoints() []int {
 	return out
 }
 
-// articulationPointsRef is the retained slice-adjacency reference the
-// differential test pins the CSR version against.
-func (g *Graph) articulationPointsRef() []int {
-	n := g.N()
-	disc := make([]int, n)
-	low := make([]int, n)
-	parent := make([]int, n)
-	isCut := make([]bool, n)
-	for i := range disc {
-		disc[i] = -1
-		parent[i] = -1
-	}
-	timer := 0
-
-	type frame struct {
-		v, childIdx, rootChildren int
-	}
-	for s := 0; s < n; s++ {
-		if disc[s] != -1 {
-			continue
-		}
-		stack := []frame{{v: s}}
-		disc[s] = timer
-		low[s] = timer
-		timer++
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			v := f.v
-			if f.childIdx < len(g.adj[v]) {
-				w := g.adj[v][f.childIdx]
-				f.childIdx++
-				if w == parent[v] {
-					continue
-				}
-				if disc[w] != -1 {
-					if disc[w] < low[v] {
-						low[v] = disc[w]
-					}
-					continue
-				}
-				parent[w] = v
-				if v == s {
-					f.rootChildren++
-				}
-				disc[w] = timer
-				low[w] = timer
-				timer++
-				stack = append(stack, frame{v: w})
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			if p := parent[v]; p != -1 {
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-				if p != s && low[v] >= disc[p] {
-					isCut[p] = true
-				}
-			}
-		}
-		rootChildren := 0
-		for _, w := range g.adj[s] {
-			if parent[w] == s {
-				rootChildren++
-			}
-		}
-		if rootChildren >= 2 {
-			isCut[s] = true
-		}
-	}
-
-	var out []int
-	for v, cut := range isCut {
-		if cut {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // BiconnectedComponents returns the 2-connected components (blocks) of the
 // graph as vertex-index sets. Bridges form blocks of size 2. Every edge
 // belongs to exactly one block; cut vertices belong to several. The CSR
-// rewrite replaces the per-block membership map of the reference with an
-// epoch-stamped mark array, so popping a block allocates only its output.
+// rewrite replaces the per-block membership map of the reference
+// (csr_test.go) with an epoch-stamped mark array, so popping a block
+// allocates only its output.
 func (g *Graph) BiconnectedComponents() [][]int {
 	c := g.CSR()
 	n := c.N()
@@ -228,91 +149,6 @@ func (g *Graph) BiconnectedComponents() [][]int {
 			row := c.Row(v)
 			if f.childIdx < len(row) {
 				w := int(row[f.childIdx])
-				f.childIdx++
-				if w == parent[v] {
-					continue
-				}
-				if disc[w] != -1 {
-					if disc[w] < disc[v] { // back edge
-						edgeStack = append(edgeStack, [2]int{v, w})
-						if disc[w] < low[v] {
-							low[v] = disc[w]
-						}
-					}
-					continue
-				}
-				parent[w] = v
-				edgeStack = append(edgeStack, [2]int{v, w})
-				disc[w] = timer
-				low[w] = timer
-				timer++
-				stack = append(stack, frame{v: w})
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			if p := parent[v]; p != -1 {
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-				if low[v] >= disc[p] {
-					popBlock(p, v)
-				}
-			}
-		}
-	}
-	return blocks
-}
-
-// biconnectedComponentsRef is the retained slice-adjacency reference the
-// differential test pins the CSR version against.
-func (g *Graph) biconnectedComponentsRef() [][]int {
-	n := g.N()
-	disc := make([]int, n)
-	low := make([]int, n)
-	parent := make([]int, n)
-	for i := range disc {
-		disc[i] = -1
-		parent[i] = -1
-	}
-	timer := 0
-	var edgeStack [][2]int
-	var blocks [][]int
-
-	popBlock := func(u, w int) {
-		seen := map[int]bool{}
-		for len(edgeStack) > 0 {
-			e := edgeStack[len(edgeStack)-1]
-			edgeStack = edgeStack[:len(edgeStack)-1]
-			seen[e[0]] = true
-			seen[e[1]] = true
-			if e[0] == u && e[1] == w || e[0] == w && e[1] == u {
-				break
-			}
-		}
-		block := make([]int, 0, len(seen))
-		for v := range seen {
-			block = append(block, v)
-		}
-		sort.Ints(block)
-		blocks = append(blocks, block)
-	}
-
-	type frame struct {
-		v, childIdx int
-	}
-	for s := 0; s < n; s++ {
-		if disc[s] != -1 {
-			continue
-		}
-		stack := []frame{{v: s}}
-		disc[s] = timer
-		low[s] = timer
-		timer++
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			v := f.v
-			if f.childIdx < len(g.adj[v]) {
-				w := g.adj[v][f.childIdx]
 				f.childIdx++
 				if w == parent[v] {
 					continue

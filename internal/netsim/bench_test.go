@@ -11,11 +11,10 @@ import (
 	"repro/internal/spanning"
 )
 
-// BenchmarkSimulator compares the sharded engine against the legacy
-// goroutine-per-vertex, channel-per-edge realization on the same workload:
-// an honest spanning-tree assignment on a random tree. The interesting
-// columns are allocs/op (the legacy version allocates per vertex, per edge
-// and per view; the sharded engine reuses pooled shard buffers) and ns/op.
+// BenchmarkSimulator measures one sharded verification round on an honest
+// spanning-tree assignment on a random tree. The interesting columns are
+// ns/op and allocs/op (the engine reuses pooled shard buffers, so the
+// steady state should allocate almost nothing).
 func BenchmarkSimulator(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		rng := rand.New(rand.NewSource(7))
@@ -30,20 +29,6 @@ func BenchmarkSimulator(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.Run(context.Background(), g, s, a); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if n > 10000 {
-			// The legacy simulator spawns n goroutines and ~2n channels
-			// per run; 100k vertices is exactly the regime it was
-			// replaced for.
-			continue
-		}
-		b.Run(fmt.Sprintf("legacy-n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunGoroutinePerVertex(context.Background(), g, s, a); err != nil {
 					b.Fatal(err)
 				}
 			}

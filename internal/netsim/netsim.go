@@ -9,10 +9,9 @@
 // over a bounded worker pool, and the exchange round is realized through
 // preallocated per-shard view buffers reused across runs via sync.Pool.
 // This replaces the original goroutine-per-vertex, channel-per-edge
-// realization (kept in legacy.go as a differential baseline), which
-// collapsed under serving load: n goroutines and 2m channels per request
-// versus a constant number of workers and near-zero steady-state
-// allocations here.
+// realization, which collapsed under serving load: n goroutines and 2m
+// channels per request versus a constant number of workers and near-zero
+// steady-state allocations here.
 //
 // This is the "self-stabilization" deployment story of the paper: the
 // verification round is what a network would run periodically to detect
@@ -278,17 +277,4 @@ func cmpNeighborView(x, y cert.NeighborView) int {
 	default:
 		return 0
 	}
-}
-
-// ProveAndRun is the distributed counterpart of cert.ProveAndVerify.
-func ProveAndRun(ctx context.Context, g *graph.Graph, s cert.Scheme) (cert.Assignment, Report, error) {
-	a, err := cert.ProveWithContext(ctx, s, g)
-	if err != nil {
-		return nil, Report{}, fmt.Errorf("netsim: %s: prove: %w", s.Name(), err)
-	}
-	rep, err := Run(ctx, g, s, a)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	return a, rep, nil
 }

@@ -106,9 +106,9 @@ func TestRunAgreesWithSequentialQuick(t *testing.T) {
 
 // TestShardedEquivalenceProperty is the differential property test of the
 // sharded rewrite: random (graph, scheme, tamper, seed) cases must give
-// identical Accepted and Rejecters under the sharded engine, the legacy
-// goroutine-per-vertex realization, and the sequential referee — on
-// honest and on tampered assignments, across worker counts.
+// identical Accepted and Rejecters under the sharded engine and the
+// sequential referee — on honest and on tampered assignments, across
+// worker counts.
 func TestShardedEquivalenceProperty(t *testing.T) {
 	tampers := cert.StandardTampers()
 	for seed := int64(0); seed < 40; seed++ {
@@ -146,11 +146,6 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 			}
 			sameVerdict(t, rep, seq)
 		}
-		legacy, err := RunGoroutinePerVertex(context.Background(), g, s, a)
-		if err != nil {
-			t.Fatalf("seed %d: legacy: %v", seed, err)
-		}
-		sameVerdict(t, legacy, seq)
 	}
 }
 
@@ -277,17 +272,6 @@ func TestRunCancelledContext(t *testing.T) {
 	_, err := Run(ctx, g, degreeAtMost{D: 5}, make(cert.Assignment, 50))
 	if err == nil {
 		t.Fatal("pre-cancelled context accepted")
-	}
-}
-
-func TestProveAndRun(t *testing.T) {
-	g := graphgen.Cycle(10)
-	a, rep, err := ProveAndRun(context.Background(), g, degreeAtMost{D: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Accepted || len(a) != g.N() {
-		t.Fatalf("rep=%+v len(a)=%d", rep, len(a))
 	}
 }
 

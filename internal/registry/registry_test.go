@@ -2,6 +2,7 @@ package registry
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/cert"
 	"repro/internal/graph"
 	"repro/internal/graphgen"
+	"repro/internal/logic"
 	"repro/internal/treewidth"
 	"repro/internal/wire"
 )
@@ -164,12 +166,22 @@ func TestParamsCacheable(t *testing.T) {
 	}
 }
 
-// The tw-mso enum and the property library must agree, and a generator
-// witness must drive the prover.
+// The tw-mso enum and the property library must agree — same names in
+// the same order, each alias sentence canonically equal to the library's
+// — and a generator witness must drive the prover.
 func TestTreewidthMSOEntry(t *testing.T) {
 	props := TreewidthMSOProperties()
-	if len(props) != len(treewidth.Properties()) {
-		t.Fatalf("TreewidthMSOProperties() = %v", props)
+	if want := treewidth.Properties(); !slices.Equal(props, want) {
+		t.Fatalf("TreewidthMSOProperties() = %v, want %v", props, want)
+	}
+	for _, a := range compile.Aliases("tw-mso") {
+		p, ok := treewidth.PropertyByName(a.Name)
+		if !ok {
+			t.Fatalf("alias %q is not a library property", a.Name)
+		}
+		if got, want := logic.CanonicalString(a.Formula), logic.CanonicalString(p.Phi.Source); got != want {
+			t.Fatalf("alias %q: canonical sentence %s, library %s", a.Name, got, want)
+		}
 	}
 	e, ok := Default().Lookup("tw-mso")
 	if !ok {

@@ -103,8 +103,7 @@ func BenchmarkTWMSOVerifyOnly(b *testing.B) {
 }
 
 // BenchmarkEMSODP measures the generalized Courcelle DP (E13 timings):
-// cost of SolveEMSO per sentence on a width-2 instance, against the
-// hardcoded colouring DP it replaced.
+// cost of SolveEMSO per sentence on a width-2 instance.
 func BenchmarkEMSODP(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	g, _ := graphgen.PartialKTree(256, 2, 0.5, rng)
@@ -135,14 +134,6 @@ func BenchmarkEMSODP(b *testing.B) {
 			}
 		})
 	}
-	b.Run("legacy-color-dp-3", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := ColorGraph(g, nice, 3); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkEMSODPJoinHeavy runs the DP over the join-heaviest shape a

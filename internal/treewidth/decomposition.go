@@ -65,13 +65,6 @@ func (d *Decomposition) Clone() *Decomposition {
 	return out
 }
 
-// BagContains reports whether bag b contains vertex v (bags are sorted).
-func (d *Decomposition) BagContains(b, v int) bool {
-	bag := d.Bags[b]
-	i := sort.SearchInts(bag, v)
-	return i < len(bag) && bag[i] == v
-}
-
 // Validate checks that d is a valid tree decomposition of g and returns a
 // descriptive error for the first violated invariant:
 //
@@ -297,11 +290,16 @@ func (d *Decomposition) HomeBags(n int, depth []int) ([]int, error) {
 // attached to the bag of the earliest-eliminated such neighbour (or to the
 // next bag in order when the vertex has none, which keeps the tree
 // connected even for disconnected inputs). The order must be a permutation
-// of the vertices.
+// of the vertices. The replay runs on the dense bitset state, so the graph
+// may have at most MaxDenseVertices vertices; the exact search, its only
+// caller, stays far below that.
 func FromEliminationOrder(g *graph.Graph, order []int) (*Decomposition, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, fmt.Errorf("treewidth: empty graph")
+	}
+	if n > MaxDenseVertices {
+		return nil, fmt.Errorf("treewidth: %d vertices exceed the elimination replay limit %d", n, MaxDenseVertices)
 	}
 	if len(order) != n {
 		return nil, fmt.Errorf("treewidth: order has %d entries for %d vertices", len(order), n)
@@ -316,26 +314,16 @@ func FromEliminationOrder(g *graph.Graph, order []int) (*Decomposition, error) {
 		}
 		pos[v] = i
 	}
-	// Replay the elimination on the shared fill-in state: at step i the
-	// alive vertices are exactly the later ones, so each bag is the
-	// vertex plus its remaining neighbours. Counts stay off in both
-	// engines — the replay only reads bags, so incremental fill-in
-	// maintenance would be pure overhead. The engine choice mirrors the
-	// heuristics' own dispatch.
+	// Replay the elimination on the fill-in state: at step i the alive
+	// vertices are exactly the later ones, so each bag is the vertex plus
+	// its remaining neighbours. Counts stay off — the replay only reads
+	// bags, so incremental fill-in maintenance would be pure overhead.
 	bags := make([][]int, n)
-	if useBitset(g) {
-		st := newElimBits(g, false)
-		nbrs := make([]int, 0, n)
-		for i, v := range order {
-			bags[i] = st.bagOf(v)
-			nbrs, _ = st.eliminate(v, nbrs)
-		}
-	} else {
-		st := newElimSparse(g, false)
-		for i, v := range order {
-			bags[i] = st.bagOf(v)
-			st.eliminate(v)
-		}
+	st := newElimBits(g, false)
+	nbrs := make([]int, 0, n)
+	for i, v := range order {
+		bags[i] = st.bagOf(v)
+		nbrs, _ = st.eliminate(v, nbrs)
 	}
 	return linkEliminationBags(order, bags), nil
 }

@@ -2,7 +2,6 @@ package treewidth
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -73,9 +72,6 @@ type EMSO struct {
 // NumSets returns the number of existentially quantified sets (the
 // per-vertex witness width in bits).
 func (phi *EMSO) NumSets() int { return len(phi.Sets) }
-
-// NumVars returns the number of universally quantified vertex variables.
-func (phi *EMSO) NumVars() int { return len(phi.Vars) }
 
 func (phi *EMSO) String() string { return phi.Source.String() }
 
@@ -310,136 +306,6 @@ func forgetWord(s uint64, pos, m int) uint64 {
 	low := s & (1<<uint(m*pos) - 1)
 	high := s >> uint(m*(pos+1))
 	return low | high<<uint(m*pos)
-}
-
-// solveEMSOReference is the original map-based realization of the EMSO
-// dynamic program: per-node state sets held in map[uint64]struct{} and
-// recursive closures for both passes. The table-driven SolveEMSO (see
-// emso_engine.go) replaced it on the hot path; this implementation is
-// retained as the executable specification that the differential property
-// test drives the optimized engine against — verdicts and extracted
-// witness words must match byte for byte.
-func solveEMSOReference(g *graph.Graph, nice *Nice, phi *EMSO) ([]uint8, bool, error) {
-	m := len(phi.Sets)
-	states := 1
-	for i := 0; i <= nice.Width(); i++ {
-		states *= 1 << uint(m)
-		if states > MaxDPStates {
-			return nil, false, fmt.Errorf("treewidth: width %d too large for the %d-set EMSO DP (limit %d states)",
-				nice.Width(), m, MaxDPStates)
-		}
-	}
-	valid := make([]map[uint64]struct{}, len(nice.Nodes))
-	var up func(t int) map[uint64]struct{}
-	up = func(t int) map[uint64]struct{} {
-		if valid[t] != nil {
-			return valid[t]
-		}
-		node := &nice.Nodes[t]
-		out := map[uint64]struct{}{}
-		switch node.Kind {
-		case KindLeaf:
-			out[0] = struct{}{}
-		case KindIntroduce:
-			child := up(node.Children[0])
-			pos := sort.SearchInts(node.Bag, node.Vertex)
-			for cs := range child {
-				for w := uint64(0); w < 1<<uint(m); w++ {
-					s := expandWord(cs, pos, m, w)
-					if introduceOK(g, phi, node.Bag, pos, s) {
-						out[s] = struct{}{}
-					}
-				}
-			}
-		case KindForget:
-			child := up(node.Children[0])
-			childBag := nice.Nodes[node.Children[0]].Bag
-			pos := sort.SearchInts(childBag, node.Vertex)
-			for cs := range child {
-				out[forgetWord(cs, pos, m)] = struct{}{}
-			}
-		case KindJoin:
-			left := up(node.Children[0])
-			right := up(node.Children[1])
-			for s := range left {
-				if _, ok := right[s]; ok {
-					out[s] = struct{}{}
-				}
-			}
-		}
-		valid[t] = out
-		return out
-	}
-	if _, ok := up(nice.Root)[0]; !ok {
-		return nil, false, nil
-	}
-	words := make([]int16, g.N())
-	for v := range words {
-		words[v] = -1
-	}
-	var down func(t int, s uint64) error
-	down = func(t int, s uint64) error {
-		node := &nice.Nodes[t]
-		switch node.Kind {
-		case KindLeaf:
-			return nil
-		case KindIntroduce:
-			pos := sort.SearchInts(node.Bag, node.Vertex)
-			if words[node.Vertex] == -1 {
-				words[node.Vertex] = int16(wordAt(s, pos, m))
-			}
-			return down(node.Children[0], forgetWord(s, pos, m))
-		case KindForget:
-			childBag := nice.Nodes[node.Children[0]].Bag
-			pos := sort.SearchInts(childBag, node.Vertex)
-			child := valid[node.Children[0]]
-			for w := uint64(0); w < 1<<uint(m); w++ {
-				cs := expandWord(s, pos, m, w)
-				if _, ok := child[cs]; ok {
-					return down(node.Children[0], cs)
-				}
-			}
-			return &TracebackError{Node: t, Kind: node.Kind, Bag: node.Bag}
-		case KindJoin:
-			if err := down(node.Children[0], s); err != nil {
-				return err
-			}
-			return down(node.Children[1], s)
-		}
-		return &TracebackError{Node: t, Kind: node.Kind, Bag: node.Bag}
-	}
-	if err := down(nice.Root, 0); err != nil {
-		return nil, false, err
-	}
-	out := make([]uint8, g.N())
-	for v, w := range words {
-		if w == -1 {
-			return nil, false, fmt.Errorf("treewidth: EMSO DP left vertex %d without a membership word", v)
-		}
-		out[v] = uint8(w)
-	}
-	// The DP guarantees the checks below; assert them so a table bug
-	// cannot leak a bogus witness (mirrors the colouring DP's guard).
-	member := func(set, point int) bool { return out[point]>>uint(set)&1 == 1 }
-	adj := func(a, b int) bool { return g.HasEdge(a, b) }
-	for i := range nice.Nodes {
-		bag := nice.Nodes[i].Bag
-		if !allTuplesOK(phi, bag, adj, member, -1) {
-			return nil, false, fmt.Errorf("treewidth: EMSO DP produced a witness violating the matrix in bag %v", bag)
-		}
-	}
-	return out, true, nil
-}
-
-// introduceOK checks every matrix tuple over the bag that involves the
-// introduced position, reading memberships from the packed DP state.
-func introduceOK(g *graph.Graph, phi *EMSO, bag []int, pos int, s uint64) bool {
-	m := len(phi.Sets)
-	member := func(set, point int) bool {
-		p := sort.SearchInts(bag, point)
-		return wordAt(s, p, m)>>uint(set)&1 == 1
-	}
-	return allTuplesOK(phi, bag, func(a, b int) bool { return g.HasEdge(a, b) }, member, bag[pos])
 }
 
 // allTuplesOK enumerates var tuples over the bag and evaluates the matrix;

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/cert"
@@ -245,4 +246,238 @@ func TestHeuristicMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// solveEMSOReference is the original map-based realization of the EMSO
+// dynamic program: per-node state sets held in map[uint64]struct{} and
+// recursive closures for both passes. The table-driven SolveEMSO (see
+// emso_engine.go) replaced it on the hot path; this implementation is
+// retained as the executable specification that the differential property
+// test drives the optimized engine against — verdicts and extracted
+// witness words must match byte for byte.
+func solveEMSOReference(g *graph.Graph, nice *Nice, phi *EMSO) ([]uint8, bool, error) {
+	m := len(phi.Sets)
+	states := 1
+	for i := 0; i <= nice.Width(); i++ {
+		states *= 1 << uint(m)
+		if states > MaxDPStates {
+			return nil, false, fmt.Errorf("treewidth: width %d too large for the %d-set EMSO DP (limit %d states)",
+				nice.Width(), m, MaxDPStates)
+		}
+	}
+	valid := make([]map[uint64]struct{}, len(nice.Nodes))
+	var up func(t int) map[uint64]struct{}
+	up = func(t int) map[uint64]struct{} {
+		if valid[t] != nil {
+			return valid[t]
+		}
+		node := &nice.Nodes[t]
+		out := map[uint64]struct{}{}
+		switch node.Kind {
+		case KindLeaf:
+			out[0] = struct{}{}
+		case KindIntroduce:
+			child := up(node.Children[0])
+			pos := sort.SearchInts(node.Bag, node.Vertex)
+			for cs := range child {
+				for w := uint64(0); w < 1<<uint(m); w++ {
+					s := expandWord(cs, pos, m, w)
+					if introduceOK(g, phi, node.Bag, pos, s) {
+						out[s] = struct{}{}
+					}
+				}
+			}
+		case KindForget:
+			child := up(node.Children[0])
+			childBag := nice.Nodes[node.Children[0]].Bag
+			pos := sort.SearchInts(childBag, node.Vertex)
+			for cs := range child {
+				out[forgetWord(cs, pos, m)] = struct{}{}
+			}
+		case KindJoin:
+			left := up(node.Children[0])
+			right := up(node.Children[1])
+			for s := range left {
+				if _, ok := right[s]; ok {
+					out[s] = struct{}{}
+				}
+			}
+		}
+		valid[t] = out
+		return out
+	}
+	if _, ok := up(nice.Root)[0]; !ok {
+		return nil, false, nil
+	}
+	words := make([]int16, g.N())
+	for v := range words {
+		words[v] = -1
+	}
+	var down func(t int, s uint64) error
+	down = func(t int, s uint64) error {
+		node := &nice.Nodes[t]
+		switch node.Kind {
+		case KindLeaf:
+			return nil
+		case KindIntroduce:
+			pos := sort.SearchInts(node.Bag, node.Vertex)
+			if words[node.Vertex] == -1 {
+				words[node.Vertex] = int16(wordAt(s, pos, m))
+			}
+			return down(node.Children[0], forgetWord(s, pos, m))
+		case KindForget:
+			childBag := nice.Nodes[node.Children[0]].Bag
+			pos := sort.SearchInts(childBag, node.Vertex)
+			child := valid[node.Children[0]]
+			for w := uint64(0); w < 1<<uint(m); w++ {
+				cs := expandWord(s, pos, m, w)
+				if _, ok := child[cs]; ok {
+					return down(node.Children[0], cs)
+				}
+			}
+			return &TracebackError{Node: t, Kind: node.Kind, Bag: node.Bag}
+		case KindJoin:
+			if err := down(node.Children[0], s); err != nil {
+				return err
+			}
+			return down(node.Children[1], s)
+		}
+		return &TracebackError{Node: t, Kind: node.Kind, Bag: node.Bag}
+	}
+	if err := down(nice.Root, 0); err != nil {
+		return nil, false, err
+	}
+	out := make([]uint8, g.N())
+	for v, w := range words {
+		if w == -1 {
+			return nil, false, fmt.Errorf("treewidth: EMSO DP left vertex %d without a membership word", v)
+		}
+		out[v] = uint8(w)
+	}
+	// The DP guarantees the checks below; assert them so a table bug
+	// cannot leak a bogus witness.
+	member := func(set, point int) bool { return out[point]>>uint(set)&1 == 1 }
+	adj := func(a, b int) bool { return g.HasEdge(a, b) }
+	for i := range nice.Nodes {
+		bag := nice.Nodes[i].Bag
+		if !allTuplesOK(phi, bag, adj, member, -1) {
+			return nil, false, fmt.Errorf("treewidth: EMSO DP produced a witness violating the matrix in bag %v", bag)
+		}
+	}
+	return out, true, nil
+}
+
+// introduceOK checks every matrix tuple over the bag that involves the
+// introduced position, reading memberships from the packed DP state.
+func introduceOK(g *graph.Graph, phi *EMSO, bag []int, pos int, s uint64) bool {
+	m := len(phi.Sets)
+	member := func(set, point int) bool {
+		p := sort.SearchInts(bag, point)
+		return wordAt(s, p, m)>>uint(set)&1 == 1
+	}
+	return allTuplesOK(phi, bag, func(a, b int) bool { return g.HasEdge(a, b) }, member, bag[pos])
+}
+
+// The map-based realization below is the executable specification of the
+// elimination heuristics: neighbour sets as maps, scores recomputed from
+// scratch every round. The bitset engine (heuristic.go) replaced it on the hot
+// path; a differential test keeps the two order-, bag- and
+// width-identical, which pins the incremental count maintenance exactly.
+
+type refElimState struct {
+	nbr   []map[int]struct{}
+	alive []bool
+	left  int
+}
+
+func newRefElimState(g *graph.Graph) *refElimState {
+	n := g.N()
+	st := &refElimState{
+		nbr:   make([]map[int]struct{}, n),
+		alive: make([]bool, n),
+		left:  n,
+	}
+	for v := 0; v < n; v++ {
+		st.alive[v] = true
+		st.nbr[v] = make(map[int]struct{}, g.Degree(v))
+		for _, w := range g.Neighbors(v) {
+			st.nbr[v][w] = struct{}{}
+		}
+	}
+	return st
+}
+
+func (st *refElimState) bagOf(v int) []int {
+	bag := make([]int, 0, len(st.nbr[v])+1)
+	bag = append(bag, v)
+	for w := range st.nbr[v] {
+		bag = append(bag, w)
+	}
+	sort.Ints(bag)
+	return bag
+}
+
+func (st *refElimState) eliminate(v int) int {
+	nbrs := make([]int, 0, len(st.nbr[v]))
+	for w := range st.nbr[v] {
+		nbrs = append(nbrs, w)
+	}
+	for i := 0; i < len(nbrs); i++ {
+		for j := i + 1; j < len(nbrs); j++ {
+			a, b := nbrs[i], nbrs[j]
+			st.nbr[a][b] = struct{}{}
+			st.nbr[b][a] = struct{}{}
+		}
+		delete(st.nbr[nbrs[i]], v)
+	}
+	st.alive[v] = false
+	st.left--
+	return len(nbrs)
+}
+
+func (st *refElimState) fillCost(v int) int {
+	nbrs := make([]int, 0, len(st.nbr[v]))
+	for w := range st.nbr[v] {
+		nbrs = append(nbrs, w)
+	}
+	missing := 0
+	for i := 0; i < len(nbrs); i++ {
+		for j := i + 1; j < len(nbrs); j++ {
+			if _, ok := st.nbr[nbrs[i]][nbrs[j]]; !ok {
+				missing++
+			}
+		}
+	}
+	return missing
+}
+
+// runHeuristicReference is the reference elimination driver the
+// differential test compares runHeuristic against.
+func runHeuristicReference(g *graph.Graph, score heuristicScore) (*Decomposition, []int, int) {
+	st := newRefElimState(g)
+	n := g.N()
+	order := make([]int, 0, n)
+	bags := make([][]int, 0, n)
+	width := 0
+	for st.left > 0 {
+		best, bestScore := -1, 0
+		for v := 0; v < n; v++ {
+			if !st.alive[v] {
+				continue
+			}
+			s := len(st.nbr[v])
+			if score == scoreFill {
+				s = st.fillCost(v)
+			}
+			if best == -1 || s < bestScore {
+				best, bestScore = v, s
+			}
+		}
+		order = append(order, best)
+		bags = append(bags, st.bagOf(best))
+		if d := st.eliminate(best); d > width {
+			width = d
+		}
+	}
+	return linkEliminationBags(order, bags), order, width
 }

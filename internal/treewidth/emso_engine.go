@@ -20,7 +20,7 @@ var errUnknownNodeKind = errors.New("treewidth: unknown nice-decomposition node 
 
 // This file is the table-driven realization of the EMSO dynamic program —
 // the hot path behind every tw-mso certify/batch/simulate request. The
-// map-based original survives as solveEMSOReference (emso.go); a
+// map-based original survives as solveEMSOReference (emso_diff_test.go); a
 // differential property test keeps the two verdict- and witness-identical.
 //
 // The engine differs from the reference in mechanics only:

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cert"
+	"repro/internal/graph"
 	"repro/internal/graphgen"
 	"repro/internal/logic"
 )
@@ -42,55 +43,55 @@ func TestCompileEMSOFragment(t *testing.T) {
 	}
 }
 
-// TestSolveEMSOAgreesWithColorDP cross-checks the generalized DP against
-// the original c-colorability DP on random bounded-width instances.
-func TestSolveEMSOAgreesWithColorDP(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	two := MustCompileEMSO(logic.TwoColorable())
-	three := MustCompileEMSO(logic.ThreeColorable())
-	for trial := 0; trial < 15; trial++ {
-		n := 6 + rng.Intn(15)
-		g, _ := graphgen.PartialKTree(n, 2, 0.6, rng)
-		d, _, err := Heuristic(g)
+// TestSolveEMSOAgainstBruteForce checks arbitrary fragment sentences
+// against exhaustive evaluation on small graphs, and the colourability
+// sentences against known answers on graphs too big to brute-force.
+func TestSolveEMSOAgainstBruteForce(t *testing.T) {
+	known := []struct {
+		name string
+		g    *graph.Graph
+		f    logic.Formula
+		want bool
+	}{
+		{"path-2col", graphgen.Path(10), logic.TwoColorable(), true},
+		{"odd-cycle-2col", graphgen.Cycle(7), logic.TwoColorable(), false},
+		{"odd-cycle-3col", graphgen.Cycle(7), logic.ThreeColorable(), true},
+		{"k4-3col", graphgen.Clique(4), logic.ThreeColorable(), false},
+		{"grid-2col", graphgen.Grid(3, 4), logic.TwoColorable(), true},
+	}
+	for _, tc := range known {
+		_, d, err := Exact(tc.g)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		nice, err := MakeNice(d, 0)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for c, phi := range map[int]*EMSO{2: two, 3: three} {
-			_, wantOK, err := ColorGraph(g, nice, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			words, gotOK, err := SolveEMSO(g, nice, phi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotOK != wantOK {
-				t.Fatalf("trial %d: %d-colorability: ColorGraph=%v SolveEMSO=%v", trial, c, wantOK, gotOK)
-			}
-			if !gotOK {
-				continue
-			}
-			// The witness words must decode to a proper colouring.
-			for _, e := range g.Edges() {
-				if words[e[0]] == words[e[1]] {
-					t.Fatalf("trial %d: EMSO witness colours edge (%d,%d) monochromatically", trial, e[0], e[1])
-				}
+		words, got, err := SolveEMSO(tc.g, nice, MustCompileEMSO(tc.f))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Fatalf("%s: SolveEMSO = %v, want %v", tc.name, got, tc.want)
+		}
+		if !got {
+			continue
+		}
+		// A witness puts adjacent vertices in no common colour set, so
+		// their membership words differ.
+		for _, e := range tc.g.Edges() {
+			if words[e[0]] == words[e[1]] {
+				t.Fatalf("%s: witness colours edge %v monochromatically", tc.name, e)
 			}
 		}
 	}
-}
 
-// TestSolveEMSOAgainstBruteForce checks arbitrary fragment sentences
-// against exhaustive evaluation on small graphs.
-func TestSolveEMSOAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	sentences := []logic.Formula{
 		logic.TriangleFree(),
 		logic.TwoColorable(),
+		logic.ThreeColorable(),
 		logic.MustParse("forall x. forall y. !(x ~ y)"),
 		// Independent set covering every edge endpoint ("vertex cover
 		// complement"): exists S with no edge inside S and every edge

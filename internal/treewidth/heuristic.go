@@ -37,10 +37,10 @@ func useBitset(g *graph.Graph) bool {
 // cleared out), plus incrementally maintained degree and fill-in counts.
 // Keeping the counts current under elimination — instead of recounting
 // missing neighbour pairs per candidate per round, as the map-based
-// reference implementation below does — is what turns min-fill from
-// cubic-ish into roughly quadratic: each round pays one O(n) selection
-// scan plus bitset work proportional to the eliminated vertex's
-// neighbourhood.
+// reference implementation in emso_diff_test.go does — is what turns
+// min-fill from cubic-ish into roughly quadratic: each round pays one
+// O(n) selection scan plus bitset work proportional to the eliminated
+// vertex's neighbourhood.
 type elimBits struct {
 	n     int
 	words int
@@ -94,10 +94,6 @@ func newElimBits(g *graph.Graph, counts bool) *elimBits {
 
 func (st *elimBits) row(v int) []uint64 {
 	return st.rows[v*st.words : (v+1)*st.words]
-}
-
-func (st *elimBits) hasEdge(u, v int) bool {
-	return st.row(u)[v>>6]>>(uint(v)&63)&1 == 1
 }
 
 // intersectCount returns |a ∩ b| for two rows.
@@ -383,108 +379,4 @@ func checkHeuristicInput(g *graph.Graph) error {
 		return fmt.Errorf("treewidth: empty graph")
 	}
 	return nil
-}
-
-// The map-based realization below is the executable specification of the
-// elimination heuristics: neighbour sets as maps, scores recomputed from
-// scratch every round. The bitset engine above replaced it on the hot
-// path; a differential test keeps the two order-, bag- and
-// width-identical, which pins the incremental count maintenance exactly.
-
-type refElimState struct {
-	nbr   []map[int]struct{}
-	alive []bool
-	left  int
-}
-
-func newRefElimState(g *graph.Graph) *refElimState {
-	n := g.N()
-	st := &refElimState{
-		nbr:   make([]map[int]struct{}, n),
-		alive: make([]bool, n),
-		left:  n,
-	}
-	for v := 0; v < n; v++ {
-		st.alive[v] = true
-		st.nbr[v] = make(map[int]struct{}, g.Degree(v))
-		for _, w := range g.Neighbors(v) {
-			st.nbr[v][w] = struct{}{}
-		}
-	}
-	return st
-}
-
-func (st *refElimState) bagOf(v int) []int {
-	bag := make([]int, 0, len(st.nbr[v])+1)
-	bag = append(bag, v)
-	for w := range st.nbr[v] {
-		bag = append(bag, w)
-	}
-	sort.Ints(bag)
-	return bag
-}
-
-func (st *refElimState) eliminate(v int) int {
-	nbrs := make([]int, 0, len(st.nbr[v]))
-	for w := range st.nbr[v] {
-		nbrs = append(nbrs, w)
-	}
-	for i := 0; i < len(nbrs); i++ {
-		for j := i + 1; j < len(nbrs); j++ {
-			a, b := nbrs[i], nbrs[j]
-			st.nbr[a][b] = struct{}{}
-			st.nbr[b][a] = struct{}{}
-		}
-		delete(st.nbr[nbrs[i]], v)
-	}
-	st.alive[v] = false
-	st.left--
-	return len(nbrs)
-}
-
-func (st *refElimState) fillCost(v int) int {
-	nbrs := make([]int, 0, len(st.nbr[v]))
-	for w := range st.nbr[v] {
-		nbrs = append(nbrs, w)
-	}
-	missing := 0
-	for i := 0; i < len(nbrs); i++ {
-		for j := i + 1; j < len(nbrs); j++ {
-			if _, ok := st.nbr[nbrs[i]][nbrs[j]]; !ok {
-				missing++
-			}
-		}
-	}
-	return missing
-}
-
-// runHeuristicReference is the reference elimination driver the
-// differential test compares runHeuristic against.
-func runHeuristicReference(g *graph.Graph, score heuristicScore) (*Decomposition, []int, int) {
-	st := newRefElimState(g)
-	n := g.N()
-	order := make([]int, 0, n)
-	bags := make([][]int, 0, n)
-	width := 0
-	for st.left > 0 {
-		best, bestScore := -1, 0
-		for v := 0; v < n; v++ {
-			if !st.alive[v] {
-				continue
-			}
-			s := len(st.nbr[v])
-			if score == scoreFill {
-				s = st.fillCost(v)
-			}
-			if best == -1 || s < bestScore {
-				best, bestScore = v, s
-			}
-		}
-		order = append(order, best)
-		bags = append(bags, st.bagOf(best))
-		if d := st.eliminate(best); d > width {
-			width = d
-		}
-	}
-	return linkEliminationBags(order, bags), order, width
 }

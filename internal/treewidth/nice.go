@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/fault"
-	"repro/internal/graph"
 )
 
 // NodeKind labels the four node types of a nice tree decomposition.
@@ -215,161 +214,6 @@ func diffSorted(a, b []int) []int {
 	return out
 }
 
-// MaxDPStates bounds the per-node state tables of the dynamic programs:
-// colourings enumerate colors^(width+1) states per bag.
+// MaxDPStates bounds the per-node state tables of the EMSO dynamic
+// program: m set variables enumerate 2^(m·(width+1)) states per bag.
 const MaxDPStates = 1 << 20
-
-// ColorGraph decides c-colorability of g by the standard Courcelle-style
-// dynamic program over a nice decomposition (valid states per node: the
-// proper colourings of the bag extendable to the processed subgraph) and,
-// when colorable, extracts a witness colouring by walking the tables back
-// down from the root. It returns (nil, false, nil) when g is not
-// c-colorable and an error when the width is too large for the table
-// bound.
-func ColorGraph(g *graph.Graph, nice *Nice, c int) ([]int, bool, error) {
-	if c < 1 || c > 4 {
-		return nil, false, fmt.Errorf("treewidth: colour count %d out of range [1,4]", c)
-	}
-	states := 1
-	for i := 0; i <= nice.Width(); i++ {
-		states *= c
-		if states > MaxDPStates {
-			return nil, false, fmt.Errorf("treewidth: width %d too large for %d-colouring DP (limit %d states)",
-				nice.Width(), c, MaxDPStates)
-		}
-	}
-	// Bottom-up: valid[t] is the set of proper bag colourings (packed 2
-	// bits per bag position) extendable to the subgraph below t.
-	valid := make([]map[uint64]struct{}, len(nice.Nodes))
-	var up func(t int) map[uint64]struct{}
-	up = func(t int) map[uint64]struct{} {
-		if valid[t] != nil {
-			return valid[t]
-		}
-		node := &nice.Nodes[t]
-		out := map[uint64]struct{}{}
-		switch node.Kind {
-		case KindLeaf:
-			out[0] = struct{}{}
-		case KindIntroduce:
-			child := up(node.Children[0])
-			pos := sort.SearchInts(node.Bag, node.Vertex)
-			for cs := range child {
-				for col := 0; col < c; col++ {
-					s, ok := introduceState(g, node.Bag, pos, col, cs)
-					if ok {
-						out[s] = struct{}{}
-					}
-				}
-			}
-		case KindForget:
-			child := up(node.Children[0])
-			childBag := nice.Nodes[node.Children[0]].Bag
-			pos := sort.SearchInts(childBag, node.Vertex)
-			for cs := range child {
-				out[forgetState(cs, pos)] = struct{}{}
-			}
-		case KindJoin:
-			left := up(node.Children[0])
-			right := up(node.Children[1])
-			for s := range left {
-				if _, ok := right[s]; ok {
-					out[s] = struct{}{}
-				}
-			}
-		}
-		valid[t] = out
-		return out
-	}
-	rootStates := up(nice.Root)
-	if _, ok := rootStates[0]; !ok {
-		return nil, false, nil
-	}
-	// Top-down traceback: push the chosen state down, recording colors at
-	// introduce nodes. States at joins are shared verbatim; forget nodes
-	// search their child's table for an extension.
-	colors := make([]int, g.N())
-	for v := range colors {
-		colors[v] = -1
-	}
-	var down func(t int, s uint64) error
-	down = func(t int, s uint64) error {
-		node := &nice.Nodes[t]
-		switch node.Kind {
-		case KindLeaf:
-			return nil
-		case KindIntroduce:
-			pos := sort.SearchInts(node.Bag, node.Vertex)
-			col := int(s >> uint(2*pos) & 3)
-			if colors[node.Vertex] == -1 {
-				colors[node.Vertex] = col
-			}
-			return down(node.Children[0], forgetState(s, pos))
-		case KindForget:
-			childBag := nice.Nodes[node.Children[0]].Bag
-			pos := sort.SearchInts(childBag, node.Vertex)
-			child := valid[node.Children[0]]
-			for col := 0; col < c; col++ {
-				cs := expandState(s, pos, col)
-				if _, ok := child[cs]; ok {
-					return down(node.Children[0], cs)
-				}
-			}
-			return fmt.Errorf("treewidth: colouring DP traceback stuck at forget node %d", t)
-		case KindJoin:
-			if err := down(node.Children[0], s); err != nil {
-				return err
-			}
-			return down(node.Children[1], s)
-		}
-		return fmt.Errorf("treewidth: unknown node kind %v", node.Kind)
-	}
-	if err := down(nice.Root, 0); err != nil {
-		return nil, false, err
-	}
-	// The DP guarantees properness; assert it so a table bug cannot leak a
-	// bogus witness.
-	for _, e := range g.Edges() {
-		if colors[e[0]] == -1 || colors[e[1]] == -1 || colors[e[0]] == colors[e[1]] {
-			return nil, false, fmt.Errorf("treewidth: colouring DP produced an improper colouring at edge (%d,%d)", e[0], e[1])
-		}
-	}
-	for v, col := range colors {
-		if col == -1 {
-			return nil, false, fmt.Errorf("treewidth: colouring DP left vertex %d uncoloured", v)
-		}
-	}
-	return colors, true, nil
-}
-
-// introduceState inserts color col for the vertex at bag position pos into
-// the child state, rejecting colourings that clash with a bag neighbour.
-func introduceState(g *graph.Graph, bag []int, pos, col int, child uint64) (uint64, bool) {
-	v := bag[pos]
-	s := expandState(child, pos, col)
-	for i, u := range bag {
-		if i == pos {
-			continue
-		}
-		if g.HasEdge(v, u) && int(s>>uint(2*i)&3) == col {
-			return 0, false
-		}
-	}
-	return s, true
-}
-
-// expandState inserts a 2-bit color at position pos, shifting higher
-// positions up.
-func expandState(s uint64, pos, col int) uint64 {
-	low := s & (1<<uint(2*pos) - 1)
-	high := s >> uint(2*pos)
-	return low | uint64(col)<<uint(2*pos) | high<<uint(2*pos+2)
-}
-
-// forgetState removes the 2-bit color at position pos from a state over
-// size positions.
-func forgetState(s uint64, pos int) uint64 {
-	low := s & (1<<uint(2*pos) - 1)
-	high := s >> uint(2*pos+2)
-	return low | high<<uint(2*pos)
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -275,7 +276,7 @@ func decodePrefix(body []byte) (Payload, []byte, bool) {
 func decodePrefixInto(body []byte, p *Payload) ([]byte, bool) {
 	r := bitio.NewReader(body)
 	bagID, err := r.ReadUvarint()
-	if err != nil || bagID == 0 {
+	if err != nil || bagID == 0 || bagID > math.MaxInt64 {
 		return nil, false
 	}
 	p.BagID = graph.ID(bagID)
@@ -293,12 +294,18 @@ func decodePrefixInto(body []byte, p *Payload) ([]byte, bool) {
 		if err != nil {
 			return nil, false
 		}
+		// Every id must stay a positive graph.ID: a delta that wraps or
+		// crosses MaxInt64 would break the strictly-increasing invariant
+		// the delta encoding otherwise enforces.
 		if i == 0 {
-			if v == 0 {
+			if v == 0 || v > math.MaxInt64 {
 				return nil, false
 			}
 			prev = v
 		} else {
+			if v >= math.MaxInt64-prev {
+				return nil, false
+			}
 			prev = prev + v + 1
 		}
 		p.Bag = append(p.Bag, graph.ID(prev))

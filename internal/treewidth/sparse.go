@@ -28,10 +28,7 @@ type elimSparse struct {
 	alive []bool
 	deg   []int
 	fill  []int
-	// counts gates fill-in maintenance, as in elimBits: heuristic runs
-	// need it, elimination replays only read bags.
-	counts bool
-	left   int
+	left  int
 	// touched collects the vertices whose score may have changed during
 	// one eliminate call, deduplicated by an epoch stamp, so the driver
 	// can refresh exactly those heap entries.
@@ -40,32 +37,23 @@ type elimSparse struct {
 	epoch   int32
 }
 
-func newElimSparse(g *graph.Graph, counts bool) *elimSparse {
-	st, _ := newElimSparseCp(nil, g, counts)
-	return st
-}
-
-// newElimSparseCp is newElimSparse with a cancellation checkpoint probed
-// through the setup loops. At n=10⁵ the initial fill-in counts alone cost
-// most of a second — longer than the whole disconnect budget — so setup
-// must be abandonable, not just the elimination rounds that follow.
+// newElimSparse builds the sparse state with its initial fill-in counts,
+// probing cp through the setup loops. At n=10⁵ the initial counts alone
+// cost most of a second — longer than the whole disconnect budget — so
+// setup must be abandonable, not just the elimination rounds that follow.
 //
 //certlint:longrun
-func newElimSparseCp(cp *fault.Checkpoint, g *graph.Graph, counts bool) (*elimSparse, error) {
-	if cp == nil {
-		cp = &fault.Checkpoint{}
-	}
+func newElimSparse(cp *fault.Checkpoint, g *graph.Graph) (*elimSparse, error) {
 	c := g.CSR()
 	n := c.N()
 	st := &elimSparse{
-		n:      n,
-		nbr:    make([][]int32, n),
-		alive:  make([]bool, n),
-		deg:    make([]int, n),
-		counts: counts,
-		left:   n,
-		stamp:  make([]int32, n),
-		epoch:  1,
+		n:     n,
+		nbr:   make([][]int32, n),
+		alive: make([]bool, n),
+		deg:   make([]int, n),
+		left:  n,
+		stamp: make([]int32, n),
+		epoch: 1,
 	}
 	// Rows copied out of the snapshot into one flat mutable array with
 	// exact capacities: removals shrink in place, the first insertion
@@ -81,9 +69,6 @@ func newElimSparseCp(cp *fault.Checkpoint, g *graph.Graph, counts bool) (*elimSp
 		start := len(flat)
 		flat = append(flat, row...)
 		st.nbr[v] = flat[start:len(flat):len(flat)]
-	}
-	if !counts {
-		return st, nil
 	}
 	// Initial fill-in counts, as in elimBits: missing pairs among N(v) =
 	// all pairs minus edges inside N(v), via sorted intersections.
@@ -228,8 +213,8 @@ func (st *elimSparse) bagOf(v int) []int {
 // eliminate removes v, cliquing its remaining neighbours and keeping
 // every degree and fill-in count exact — the same arithmetic as
 // elimBits.eliminate, on sorted slices. It returns v's degree at
-// elimination time. Touched-vertex collection (for the selection heap)
-// runs only when counts is on.
+// elimination time, and leaves in touched every vertex whose score the
+// call may have changed, for the selection heap to refresh.
 //
 //certlint:hotpath
 func (st *elimSparse) eliminate(v int) int {
@@ -247,27 +232,25 @@ func (st *elimSparse) eliminate(v int) int {
 			if containsSorted(st.nbr[a], b) {
 				continue
 			}
-			if st.counts {
-				aRow, bRow := st.nbr[a], st.nbr[b]
-				ai, bi := 0, 0
-				for ai < len(aRow) && bi < len(bRow) {
-					switch {
-					case aRow[ai] < bRow[bi]:
-						ai++
-					case aRow[ai] > bRow[bi]:
-						bi++
-					default:
-						if x := aRow[ai]; int(x) != v {
-							st.fill[x]--
-							st.touch(x)
-						}
-						ai++
-						bi++
+			aRow, bRow := st.nbr[a], st.nbr[b]
+			ai, bi := 0, 0
+			for ai < len(aRow) && bi < len(bRow) {
+				switch {
+				case aRow[ai] < bRow[bi]:
+					ai++
+				case aRow[ai] > bRow[bi]:
+					bi++
+				default:
+					if x := aRow[ai]; int(x) != v {
+						st.fill[x]--
+						st.touch(x)
 					}
+					ai++
+					bi++
 				}
-				st.fill[a] += diffCountSorted(aRow, bRow)
-				st.fill[b] += diffCountSorted(bRow, aRow)
 			}
+			st.fill[a] += diffCountSorted(aRow, bRow)
+			st.fill[b] += diffCountSorted(bRow, aRow)
 			st.nbr[a] = insertSorted32(st.nbr[a], b)
 			st.nbr[b] = insertSorted32(st.nbr[b], a)
 			st.deg[a]++
@@ -277,10 +260,8 @@ func (st *elimSparse) eliminate(v int) int {
 	// Detach v: each neighbour loses the pairs {v, y} with y a neighbour
 	// it shares with nobody — exactly its neighbours outside N(v) ∪ {v}.
 	for _, w := range nbrs {
-		if st.counts {
-			st.fill[w] -= diffCountSorted(st.nbr[w], nbrs) - 1
-			st.touch(w)
-		}
+		st.fill[w] -= diffCountSorted(st.nbr[w], nbrs) - 1
+		st.touch(w)
 		st.nbr[w] = removeSorted32(st.nbr[w], int32(v))
 		st.deg[w]--
 	}
@@ -355,7 +336,7 @@ func (h *scoreHeap) pop() scoreEntry {
 //certlint:longrun
 func runHeuristicSparse(ctx context.Context, g *graph.Graph, score heuristicScore) (*Decomposition, []int, int, error) {
 	cp := fault.NewCheckpoint(ctx, "decompose")
-	st, err := newElimSparseCp(&cp, g, true)
+	st, err := newElimSparse(&cp, g)
 	if err != nil {
 		return nil, nil, 0, err
 	}

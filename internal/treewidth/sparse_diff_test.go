@@ -133,35 +133,6 @@ func TestHeuristicsAboveFormerCap(t *testing.T) {
 	}
 }
 
-// TestFromEliminationOrderSparseReplay pins the sparse replay of
-// FromEliminationOrder to the bitset replay on mid-size graphs.
-func TestFromEliminationOrderSparseReplay(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		g := randomGraphForDiff(rng, 5+rng.Intn(50), 0.2)
-		n := g.N()
-		order := rng.Perm(n)
-		// Both replays, driven directly so the dispatch cannot hide a
-		// divergence.
-		bags1 := make([][]int, n)
-		stB := newElimBits(g, false)
-		nbrs := make([]int, 0, n)
-		for i, v := range order {
-			bags1[i] = stB.bagOf(v)
-			nbrs, _ = stB.eliminate(v, nbrs)
-		}
-		bags2 := make([][]int, n)
-		stS := newElimSparse(g, false)
-		for i, v := range order {
-			bags2[i] = stS.bagOf(v)
-			stS.eliminate(v)
-		}
-		if !reflect.DeepEqual(bags1, bags2) {
-			t.Fatalf("replay bags diverge on %v order %v", g, order)
-		}
-	}
-}
-
 // TestHeuristicParallelValid checks the parallel driver end to end:
 // valid decompositions on connected, disconnected and block-rich
 // graphs, deterministic across repeat runs and worker counts.

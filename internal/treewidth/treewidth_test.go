@@ -51,6 +51,15 @@ func TestExactRejectsLargeGraphs(t *testing.T) {
 	if _, _, err := Exact(graphgen.Path(ExactLimit + 1)); err == nil {
 		t.Fatal("Exact accepted a graph beyond ExactLimit")
 	}
+	// The elimination replay behind Exact runs on dense bitset rows.
+	big := graphgen.Path(MaxDenseVertices + 1)
+	order := make([]int, big.N())
+	for i := range order {
+		order[i] = i
+	}
+	if _, err := FromEliminationOrder(big, order); err == nil {
+		t.Fatal("FromEliminationOrder accepted a graph beyond MaxDenseVertices")
+	}
 }
 
 func TestHeuristicsProduceValidDecompositions(t *testing.T) {
@@ -279,7 +288,7 @@ func TestValidateStructure(t *testing.T) {
 	}
 }
 
-// --- nice decompositions and the colouring DP ---------------------------
+// --- nice decompositions -----------------------------------------------
 
 func TestMakeNiceShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -319,46 +328,6 @@ func TestMakeNiceShape(t *testing.T) {
 		case KindJoin:
 			if len(nd.Children) != 2 {
 				t.Fatalf("node %d: join with %d children", i, len(nd.Children))
-			}
-		}
-	}
-}
-
-func TestColorGraph(t *testing.T) {
-	cases := []struct {
-		name      string
-		g         *graph.Graph
-		c         int
-		colorable bool
-	}{
-		{"path-2col", graphgen.Path(10), 2, true},
-		{"odd-cycle-2col", graphgen.Cycle(7), 2, false},
-		{"odd-cycle-3col", graphgen.Cycle(7), 3, true},
-		{"k4-3col", graphgen.Clique(4), 3, false},
-		{"k4-4col", graphgen.Clique(4), 4, true},
-		{"grid-2col", graphgen.Grid(3, 4), 2, true},
-	}
-	for _, tc := range cases {
-		_, d, err := Exact(tc.g)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		nice, err := MakeNice(d, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		colors, ok, err := ColorGraph(tc.g, nice, tc.c)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if ok != tc.colorable {
-			t.Fatalf("%s: colorable=%v, want %v", tc.name, ok, tc.colorable)
-		}
-		if ok {
-			for _, e := range tc.g.Edges() {
-				if colors[e[0]] == colors[e[1]] {
-					t.Fatalf("%s: improper colouring at edge %v", tc.name, e)
-				}
 			}
 		}
 	}
