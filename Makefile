@@ -20,13 +20,15 @@ test-race:
 	$(GO) test -race -shuffle=on ./...
 
 # fuzz-short is the hostile-input gate on the decoders of untrusted bytes:
-# formulas arrive over HTTP, and /verify and /simulate hand submitted
-# tw-mso certificates to the payload decoder, so every ci run hammers
-# Parse and DecodePayload for a few seconds each on top of the committed
-# regression corpora (which plain `go test` replays).
+# formulas arrive over HTTP, /verify and /simulate hand submitted tw-mso
+# certificates to the payload decoder, and every stream /certify body
+# reaches the wire-v2 graph decoder, so every ci run hammers Parse,
+# DecodePayload and DecodeGraphStream for a few seconds each on top of
+# the committed regression corpora (which plain `go test` replays).
 fuzz-short:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=5s ./internal/logic
 	$(GO) test -run=FuzzDecodePayload -fuzz=FuzzDecodePayload -fuzztime=5s ./internal/treewidth
+	$(GO) test -run=FuzzDecodeGraphStream -fuzz=FuzzDecodeGraphStream -fuzztime=5s ./internal/wire
 
 # bench-smoke compiles and runs every benchmark exactly once: benchmarks
 # are the perf PRs' acceptance instruments, so they must not bit-rot
@@ -70,10 +72,12 @@ metrics-smoke:
 	exit $$rc
 
 # slo runs the full sustained-load measurement against a locally booted
-# certserver and writes the committed SLO trajectory point. Rerun it on
-# PRs that may move service latency, then gate with:
+# certserver. By default it writes the untracked SLO.json, so a bare
+# `make slo` never overwrites the committed baseline; write a trajectory
+# point explicitly on PRs that may move service latency, then gate with:
+#   make slo SLO_OUT=SLO_PR<n>.json
 #   go run ./cmd/slojson -compare SLO_PR8.json SLO_PR<n>.json
-SLO_OUT ?= SLO_PR8.json
+SLO_OUT ?= SLO.json
 slo:
 	@$(GO) build -o /tmp/certserver-slo ./cmd/certserver
 	@/tmp/certserver-slo -addr 127.0.0.1:18081 -quiet & \

@@ -542,22 +542,20 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.Workers > 0 {
 		pipe = &engine.Pipeline{Cache: s.cache, Sim: &netsim.Engine{Workers: req.Workers, Obs: s.obs}}
 	}
-	ctx := r.Context()
-	res, _, _ := pipe.Certify(ctx, job)
+	res, _, _ := pipe.Certify(r.Context(), job)
 	if res.Err != nil {
 		s.writeCertifyError(w, res.Err)
 		return
 	}
 	writeJSON(w, http.StatusOK, simulateResponse{
-		Scheme: res.Scheme,
-		Result: resultJSON(res),
-		// Every scheme here verifies at radius 1: one exchange round.
-		Rounds:   1,
-		Workers:  pipe.Sim.WorkersFor(job.Graph.N()),
+		Scheme:   res.Scheme,
+		Result:   resultJSON(res),
+		Rounds:   res.Rounds,
+		Workers:  res.Workers,
 		Sweep:    res.Sweep,
 		ProveNS:  res.Prove.Nanoseconds(),
 		VerifyNS: res.Verify.Nanoseconds(),
-		SweepNS:  obs.FromContext(ctx).PhaseDurations()["sweep"].Nanoseconds(),
+		SweepNS:  res.SweepTime.Nanoseconds(),
 	})
 }
 

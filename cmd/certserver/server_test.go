@@ -251,13 +251,14 @@ func TestBatchJobResultJSON(t *testing.T) {
 		MaxBits: 57, TotalBits: 912,
 		Generate: 1500 * time.Nanosecond, Compile: 2 * time.Millisecond,
 		Decompose: 3 * time.Second, Prove: 4, Verify: 5,
-		Distributed: true,
+		Distributed: true, Rounds: 1, Workers: 2,
 		Sweep: &netsim.SweepReport{
 			Stats: []netsim.TamperStat{{Tamper: "flip-bits-1", Trials: 4, NoOps: 1,
 				Mutated: 3, Detected: 3, Rejecters: 6, VerifyNS: 700}},
 			AllDetected: true,
 		},
-		Err: errors.New("boom"), Error: "boom",
+		SweepTime: 6,
+		Err:       errors.New("boom"), Error: "boom",
 	}
 	got, err := json.Marshal(res)
 	if err != nil {
@@ -266,8 +267,10 @@ func TestBatchJobResultJSON(t *testing.T) {
 	const want = `{"index":3,"scheme":"tw-mso","accepted":true,"rejecters":[1,4],` +
 		`"max_bits":57,"total_bits":912,"generate_ns":1500,"compile_ns":2000000,` +
 		`"decompose_ns":3000000000,"prove_ns":4,"verify_ns":5,"distributed":true,` +
+		`"rounds":1,"workers":2,` +
 		`"sweep":{"stats":[{"tamper":"flip-bits-1","trials":4,"noops":1,"mutated":3,` +
-		`"detected":3,"rejecters":6,"verify_ns":700}],"all_detected":true},"error":"boom"}`
+		`"detected":3,"rejecters":6,"verify_ns":700}],"all_detected":true},` +
+		`"sweep_ns":6,"error":"boom"}`
 	if string(got) != want {
 		t.Fatalf("JobResult JSON\n got %s\nwant %s", got, want)
 	}
@@ -333,6 +336,29 @@ func TestSimulateWithTamperSweep(t *testing.T) {
 	}
 	if !out.Sweep.AllDetected {
 		t.Fatalf("universal scheme missed corruption: %+v", out.Sweep.Stats)
+	}
+}
+
+// /simulate reports the round's shape from the job result itself: the
+// requested worker bound, one exchange round, and the sweep's duration.
+func TestSimulateRoundShapeFromResult(t *testing.T) {
+	ts := newTestServer(t)
+	var out simulateResponse
+	resp := postJSON(t, ts.URL+"/simulate", map[string]any{
+		"scheme":    "universal",
+		"params":    map[string]any{"property": "connected"},
+		"generator": map[string]any{"kind": "random-tree", "n": 40, "seed": 5},
+		"workers":   2,
+		"tamper":    map[string]any{"kind": "all", "trials": 4, "seed": 2},
+	}, &out)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if out.Workers != 2 || out.Rounds != 1 {
+		t.Fatalf("round shape: workers=%d rounds=%d, want 2 and 1", out.Workers, out.Rounds)
+	}
+	if out.Sweep == nil || out.SweepNS <= 0 {
+		t.Fatalf("sweep_ns = %d with sweep %v, want a positive sweep duration", out.SweepNS, out.Sweep)
 	}
 }
 
@@ -434,6 +460,9 @@ func TestBatchTamperField(t *testing.T) {
 	for _, r := range out.Results {
 		if !r.Distributed || r.Sweep == nil {
 			t.Fatalf("job %d missing distributed sweep: %+v", r.Index, r)
+		}
+		if r.Rounds != 1 || r.Workers == 0 || r.SweepTime <= 0 {
+			t.Fatalf("job %d round shape: rounds=%d workers=%d sweep_ns=%d", r.Index, r.Rounds, r.Workers, r.SweepTime)
 		}
 		if !r.Sweep.AllDetected {
 			t.Fatalf("job %d: undetected corruption: %+v", r.Index, r.Sweep.Stats)

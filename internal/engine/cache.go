@@ -10,12 +10,12 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/cert"
 	"repro/internal/compile"
 	"repro/internal/fault"
 	"repro/internal/logic"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/registry"
 )
@@ -52,7 +52,7 @@ type Cache struct {
 	// no registry wiring.
 	Obs *obs.Registry
 
-	flights *flightGroup[string, cert.Scheme]
+	flights *memo.Group[string, cert.Scheme]
 
 	hits     *obs.Counter
 	misses   *obs.Counter
@@ -60,21 +60,12 @@ type Cache struct {
 
 	compilePhase *obs.Histogram
 
-	// canon memoizes raw formula text -> canonical form (NNF +
+	// formulas memoizes raw formula text -> canonical form (NNF +
 	// alpha-renaming), so a hot formula is parsed once per distinct
 	// spelling rather than once per request.
-	canonMu       sync.Mutex
-	canon         map[string]string
+	formulas      *memo.Group[string, string]
 	formulaHits   *obs.Counter
 	formulaMisses *obs.Counter
-
-	// bare backs the handles above when Obs is nil, so a registry-less
-	// cache costs no allocations beyond its own struct.
-	bare struct {
-		hits, misses, bypasses     obs.Counter
-		formulaHits, formulaMisses obs.Counter
-		compilePhase               obs.Histogram
-	}
 }
 
 // NewCache returns a cache compiling through the given registry, with
@@ -86,28 +77,18 @@ func NewCache(reg *registry.Registry) *Cache {
 // NewCacheObs returns a cache whose counters and phase histograms live in
 // r (nil means bare unregistered handles).
 func NewCacheObs(reg *registry.Registry, r *obs.Registry) *Cache {
-	c := &Cache{
-		reg:     reg,
-		Obs:     r,
-		flights: newFlightGroup[string, cert.Scheme]("compile", maxCompileEntries),
-		canon:   map[string]string{},
+	return &Cache{
+		reg:           reg,
+		Obs:           r,
+		flights:       memo.New[string, cert.Scheme]("compile", maxCompileEntries),
+		hits:          cacheCounter(r, "compile", "hit"),
+		misses:        cacheCounter(r, "compile", "miss"),
+		bypasses:      cacheCounter(r, "compile", "bypass"),
+		compilePhase:  phaseHistogram(r, "compile"),
+		formulas:      memo.New[string, string]("formula", maxCanonEntries),
+		formulaHits:   cacheCounter(r, "formula", "hit"),
+		formulaMisses: cacheCounter(r, "formula", "miss"),
 	}
-	if r == nil {
-		c.hits = &c.bare.hits
-		c.misses = &c.bare.misses
-		c.bypasses = &c.bare.bypasses
-		c.formulaHits = &c.bare.formulaHits
-		c.formulaMisses = &c.bare.formulaMisses
-		c.compilePhase = &c.bare.compilePhase
-		return c
-	}
-	c.hits = cacheCounter(r, "compile", "hit")
-	c.misses = cacheCounter(r, "compile", "miss")
-	c.bypasses = cacheCounter(r, "compile", "bypass")
-	c.formulaHits = cacheCounter(r, "formula", "hit")
-	c.formulaMisses = cacheCounter(r, "formula", "miss")
-	c.compilePhase = phaseHistogram(r, "compile")
-	return c
 }
 
 // maxCanonEntries bounds the formula canonicalization memo: raw spellings
@@ -125,27 +106,21 @@ const maxCompileEntries = maxCanonEntries
 // compile step reports the real parse error (failed flights are unpinned,
 // so the bad key cannot poison the cache).
 func (c *Cache) canonicalFormula(raw string) string {
-	c.canonMu.Lock()
-	if v, ok := c.canon[raw]; ok {
-		c.canonMu.Unlock()
+	if canon, ok := c.formulas.Get(raw); ok {
 		c.formulaHits.Inc()
-		return v
+		return canon
 	}
-	c.canonMu.Unlock()
-	c.formulaMisses.Inc()
-	canon := raw
-	if f, err := logic.Parse(raw); err == nil {
-		canon = logic.CanonicalString(f)
-	}
-	c.canonMu.Lock()
-	if len(c.canon) >= maxCanonEntries {
-		for k := range c.canon {
-			delete(c.canon, k)
-			break
+	canon, hit, _ := c.formulas.Do(context.Background(), raw, func() (string, error) {
+		if f, err := logic.Parse(raw); err == nil {
+			return logic.CanonicalString(f), nil
 		}
+		return raw, nil
+	})
+	if hit {
+		c.formulaHits.Inc()
+	} else {
+		c.formulaMisses.Inc()
 	}
-	c.canon[raw] = canon
-	c.canonMu.Unlock()
 	return canon
 }
 
@@ -235,7 +210,7 @@ func (c *Cache) getOrCompile(ctx context.Context, name string, p registry.Params
 	if err != nil {
 		return nil, "error", err
 	}
-	s, hit, err := c.flights.do(ctx, key, func() (cert.Scheme, error) { return c.build(name, p) })
+	s, hit, err := c.flights.Do(ctx, key, func() (cert.Scheme, error) { return c.build(name, p) })
 	if hit {
 		c.hits.Inc()
 		return s, "hit", err
@@ -275,7 +250,7 @@ func (c *Cache) Stats() Stats {
 		Hits:     c.hits.Value(),
 		Misses:   c.misses.Value(),
 		Bypasses: c.bypasses.Value(),
-		Size:     c.flights.size(),
+		Size:     c.flights.Len(),
 	}
 }
 
@@ -292,21 +267,16 @@ type FormulaStats struct {
 
 // FormulaStats returns current canonicalization counters.
 func (c *Cache) FormulaStats() FormulaStats {
-	c.canonMu.Lock()
-	size := len(c.canon)
-	c.canonMu.Unlock()
 	return FormulaStats{
 		Hits:   c.formulaHits.Value(),
 		Misses: c.formulaMisses.Value(),
-		Size:   size,
+		Size:   c.formulas.Len(),
 	}
 }
 
 // Purge drops every cached scheme and memoized formula (counters are
 // kept).
 func (c *Cache) Purge() {
-	c.flights.purge()
-	c.canonMu.Lock()
-	c.canon = map[string]string{}
-	c.canonMu.Unlock()
+	c.flights.Purge()
+	c.formulas.Purge()
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cert"
 	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/treewidth"
 )
@@ -28,19 +29,12 @@ var decompCompute = fault.NewPoint("engine.decomp.compute")
 // collision would hand a scheme a decomposition of the wrong graph, which
 // the prover's validity check rejects instead of certifying garbage.
 type DecompCache struct {
-	flights *flightGroup[uint64, *treewidth.Decomposition]
+	flights *memo.Group[uint64, *treewidth.Decomposition]
 
 	hits   *obs.Counter
 	misses *obs.Counter
 
 	decompPhase *obs.Histogram
-
-	// bare backs the handles above when the cache is built without a
-	// registry, so construction costs no registry wiring.
-	bare struct {
-		hits, misses obs.Counter
-		decompPhase  obs.Histogram
-	}
 }
 
 // maxDecompEntries bounds the cache: fingerprints are client-controlled
@@ -59,17 +53,12 @@ func NewDecompCache() *DecompCache {
 // Pass the same registry as the compile cache's so one exposition carries
 // all three cache families.
 func NewDecompCacheObs(r *obs.Registry) *DecompCache {
-	c := &DecompCache{flights: newFlightGroup[uint64, *treewidth.Decomposition]("decompose", maxDecompEntries)}
-	if r == nil {
-		c.hits = &c.bare.hits
-		c.misses = &c.bare.misses
-		c.decompPhase = &c.bare.decompPhase
-		return c
+	return &DecompCache{
+		flights:     memo.New[uint64, *treewidth.Decomposition]("decompose", maxDecompEntries),
+		hits:        cacheCounter(r, "decomp", "hit"),
+		misses:      cacheCounter(r, "decomp", "miss"),
+		decompPhase: phaseHistogram(r, "decompose"),
 	}
-	c.hits = cacheCounter(r, "decomp", "hit")
-	c.misses = cacheCounter(r, "decomp", "miss")
-	c.decompPhase = phaseHistogram(r, "decompose")
-	return c
 }
 
 // fingerprint folds g into a cache key: FNV-64a over the vertex count,
@@ -148,7 +137,7 @@ func (c *DecompCache) get(ctx context.Context, g *graph.Graph) (*treewidth.Decom
 	if g == nil {
 		return nil, false, fmt.Errorf("engine: decomposition cache: nil graph")
 	}
-	return c.flights.do(ctx, fingerprint(g), func() (*treewidth.Decomposition, error) {
+	return c.flights.Do(ctx, fingerprint(g), func() (*treewidth.Decomposition, error) {
 		if err := decompCompute.Inject(); err != nil {
 			return nil, err
 		}
@@ -183,12 +172,12 @@ type DecompStats struct {
 
 // Stats returns current counters.
 func (c *DecompCache) Stats() DecompStats {
-	return DecompStats{Hits: c.hits.Value(), Misses: c.misses.Value(), Size: c.flights.size()}
+	return DecompStats{Hits: c.hits.Value(), Misses: c.misses.Value(), Size: c.flights.Len()}
 }
 
 // Purge drops every cached decomposition (counters are kept).
 func (c *DecompCache) Purge() {
-	c.flights.purge()
+	c.flights.Purge()
 }
 
 // attachDecompCache hands a freshly compiled tw-mso scheme the shared

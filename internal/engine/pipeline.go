@@ -86,9 +86,16 @@ type JobResult struct {
 	Verify    time.Duration `json:"verify_ns"`
 	// Distributed reports that verification ran on the network simulator.
 	Distributed bool `json:"distributed,omitempty"`
+	// Rounds and Workers describe the distributed verification round:
+	// the communication rounds it used and the workers it ran on (zero
+	// for sequential verification).
+	Rounds  int `json:"rounds,omitempty"`
+	Workers int `json:"workers,omitempty"`
 	// Sweep is the adversarial soundness report, when the job asked for
 	// one and the honest verification accepted.
 	Sweep *netsim.SweepReport `json:"sweep,omitempty"`
+	// SweepTime is the sweep phase duration, when the job swept.
+	SweepTime time.Duration `json:"sweep_ns,omitempty"`
 	// Err is the failure, if the job did not complete. It does not
 	// survive JSON; Error is the serializable form.
 	Err error `json:"-"`
@@ -350,6 +357,7 @@ func (p *Pipeline) Certify(ctx context.Context, job Job) (res JobResult, a cert.
 		var rep netsim.Report
 		rep, err = p.sim().Run(vctx, g, s, a)
 		res.Accepted, res.Rejecters = rep.Accepted, rep.Rejecters
+		res.Rounds, res.Workers = rep.Rounds, rep.Workers
 	} else {
 		vsp.SetAttr("mode", "sequential")
 		var verdict cert.Result
@@ -378,7 +386,8 @@ func (p *Pipeline) Certify(ctx context.Context, job Job) (res JobResult, a cert.
 		sctx, ssp := obs.Start(ctx, "sweep")
 		sweep, err := p.sim().Sweep(sctx, g, s, a, tampers, trials, job.Sweep.Seed)
 		ssp.End()
-		phaseHistogram(reg, "sweep").Observe(ssp.Duration())
+		res.SweepTime = ssp.Duration()
+		phaseHistogram(reg, "sweep").Observe(res.SweepTime)
 		if err != nil {
 			res.failAt("sweep", err)
 			return res, a, s

@@ -1,4 +1,7 @@
-package engine
+// Package memo is the one bounded concurrent memo of the module: a
+// panic-safe singleflight group that the engine's compile, decomposition
+// and formula caches and the tw-mso transition tables all share.
+package memo
 
 import (
 	"context"
@@ -8,23 +11,23 @@ import (
 	"repro/internal/fault"
 )
 
-// flightGroup is the singleflight both engine caches share: the first
-// caller for a key computes the value while every later caller waits on
-// the same flight and shares its result. Successful flights stay cached;
-// failed ones are unpinned, so a later request retries instead of
-// replaying a stale error forever.
+// Group is a bounded singleflight memo: the first caller for a key
+// computes the value while every later caller waits on the same flight
+// and shares its result. Successful flights stay cached; failed ones are
+// unpinned, so a later request retries instead of replaying a stale
+// error forever.
 //
-// Keys are client-controlled (formulas, graph fingerprints), so the group
-// holds at most limit entries: on overflow an arbitrary entry is evicted.
-// Waiters already holding its flight keep their pointer; later requests
-// simply recompute.
-type flightGroup[K comparable, V any] struct {
+// Keys are client-controlled (formulas, graph fingerprints, bag
+// configurations), so the group holds at most limit entries: on overflow
+// an arbitrary entry is evicted. Waiters already holding its flight keep
+// their pointer; later requests simply recompute.
+type Group[K comparable, V any] struct {
 	// phase names the cached work in the errors the group makes itself:
 	// a panicked flight and a waiter cancelled while retrying.
 	phase string
 	limit int
 
-	mu      sync.Mutex
+	mu      sync.RWMutex
 	flights map[K]*flight[V]
 }
 
@@ -36,17 +39,40 @@ type flight[V any] struct {
 	err  error
 }
 
-func newFlightGroup[K comparable, V any](phase string, limit int) *flightGroup[K, V] {
-	return &flightGroup[K, V]{phase: phase, limit: limit, flights: map[K]*flight[V]{}}
+// New returns an empty group holding at most limit entries; phase names
+// the cached work in the group's own errors.
+func New[K comparable, V any](phase string, limit int) *Group[K, V] {
+	return &Group[K, V]{phase: phase, limit: limit, flights: map[K]*flight[V]{}}
 }
 
-// do returns key's value, running compute in the calling goroutine when
+// Get returns key's value when a completed, successful flight holds it.
+// It never waits, never computes and allocates nothing: an in-flight or
+// failed key is a miss, which the caller resolves through Do.
+func (g *Group[K, V]) Get(key K) (v V, ok bool) {
+	g.mu.RLock()
+	f := g.flights[key]
+	g.mu.RUnlock()
+	if f == nil {
+		return v, false
+	}
+	select {
+	case <-f.done:
+		if f.err != nil {
+			return v, false
+		}
+		return f.val, true
+	default:
+		return v, false
+	}
+}
+
+// Do returns key's value, running compute in the calling goroutine when
 // no flight for key exists; hit reports that another caller's flight
 // served the call. compute runs under the context of the caller that won
 // the flight, so a waiter that inherits a *cancelled* flight retries
 // with its own context instead of failing for a stranger's disconnect —
 // unless it is itself cancelled.
-func (g *flightGroup[K, V]) do(ctx context.Context, key K, compute func() (V, error)) (v V, hit bool, err error) {
+func (g *Group[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) (v V, hit bool, err error) {
 	for {
 		g.mu.Lock()
 		f, ok := g.flights[key]
@@ -83,6 +109,7 @@ func (g *flightGroup[K, V]) do(ctx context.Context, key K, compute func() (V, er
 		if settled {
 			return
 		}
+		// The text reaches HTTP 500 bodies; keep it stable.
 		f.err = fmt.Errorf("engine: %s flight panicked", g.phase)
 		g.unpin(key, f)
 		close(f.done)
@@ -100,7 +127,7 @@ func (g *flightGroup[K, V]) do(ctx context.Context, key K, compute func() (V, er
 
 // unpin drops key's entry if it still belongs to f: an evicted flight's
 // key may already carry a newer flight that must stay cached.
-func (g *flightGroup[K, V]) unpin(key K, f *flight[V]) {
+func (g *Group[K, V]) unpin(key K, f *flight[V]) {
 	g.mu.Lock()
 	if g.flights[key] == f {
 		delete(g.flights, key)
@@ -108,16 +135,16 @@ func (g *flightGroup[K, V]) unpin(key K, f *flight[V]) {
 	g.mu.Unlock()
 }
 
-// size is the number of cached (and in-flight) entries.
-func (g *flightGroup[K, V]) size() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// Len is the number of cached (and in-flight) entries.
+func (g *Group[K, V]) Len() int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	return len(g.flights)
 }
 
-// purge drops every entry; in-flight computations finish for their own
+// Purge drops every entry; in-flight computations finish for their own
 // waiters but are no longer found by new requests.
-func (g *flightGroup[K, V]) purge() {
+func (g *Group[K, V]) Purge() {
 	g.mu.Lock()
 	g.flights = map[K]*flight[V]{}
 	g.mu.Unlock()

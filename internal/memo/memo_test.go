@@ -1,4 +1,4 @@
-package engine
+package memo
 
 import (
 	"context"
@@ -13,14 +13,14 @@ import (
 // startFlight claims key on g with a compute that blocks until release
 // yields its result, and returns once the flight is pinned; done closes
 // when the claiming call returns.
-func startFlight(t *testing.T, g *flightGroup[string, int], key string, release chan func() (int, error)) (done chan struct{}) {
+func startFlight(t *testing.T, g *Group[string, int], key string, release chan func() (int, error)) (done chan struct{}) {
 	t.Helper()
 	done = make(chan struct{})
 	claimed := make(chan struct{})
 	go func() {
 		defer close(done)
 		defer func() { _ = recover() }() // the panic case re-raises here
-		_, _, _ = g.do(context.Background(), key, func() (int, error) {
+		_, _, _ = g.Do(context.Background(), key, func() (int, error) {
 			close(claimed)
 			return (<-release)()
 		})
@@ -31,8 +31,8 @@ func startFlight(t *testing.T, g *flightGroup[string, int], key string, release 
 
 // A panicking compute must release its waiters with an error and unpin
 // the key, so the next request computes afresh.
-func TestFlightGroupPanicReleasesWaiters(t *testing.T) {
-	g := newFlightGroup[string, int]("compile", 8)
+func TestGroupPanicReleasesWaiters(t *testing.T) {
+	g := New[string, int]("compile", 8)
 	release := make(chan func() (int, error))
 	done := startFlight(t, g, "k", release)
 	// A waiter that joined gets the panic error; one scheduled after the
@@ -41,7 +41,7 @@ func TestFlightGroupPanicReleasesWaiters(t *testing.T) {
 	errLate := errors.New("late waiter")
 	waiter := make(chan error, 1)
 	go func() {
-		_, _, err := g.do(context.Background(), "k", func() (int, error) { return 0, errLate })
+		_, _, err := g.Do(context.Background(), "k", func() (int, error) { return 0, errLate })
 		waiter <- err
 	}()
 	release <- func() (int, error) { panic("boom") }
@@ -49,7 +49,7 @@ func TestFlightGroupPanicReleasesWaiters(t *testing.T) {
 	if err := <-waiter; !errors.Is(err, errLate) && (err == nil || !strings.Contains(err.Error(), "compile flight panicked")) {
 		t.Fatalf("waiter error = %v", err)
 	}
-	if v, hit, err := g.do(context.Background(), "k", func() (int, error) { return 7, nil }); v != 7 || hit || err != nil {
+	if v, hit, err := g.Do(context.Background(), "k", func() (int, error) { return 7, nil }); v != 7 || hit || err != nil {
 		t.Fatalf("after panic: v=%d hit=%v err=%v, want a fresh computation", v, hit, err)
 	}
 }
@@ -57,15 +57,15 @@ func TestFlightGroupPanicReleasesWaiters(t *testing.T) {
 // A waiter that inherits a flight cancelled by its owner retries under
 // its own context instead of failing for the stranger's cancellation; a
 // waiter that is itself cancelled reports its own cancellation.
-func TestFlightGroupCancelledFlightRetries(t *testing.T) {
+func TestGroupCancelledFlightRetries(t *testing.T) {
 	cancelled := &fault.CancelledError{Phase: "decompose", Cause: context.Canceled}
 	t.Run("live-waiter-recomputes", func(t *testing.T) {
-		g := newFlightGroup[string, int]("decompose", 8)
+		g := New[string, int]("decompose", 8)
 		release := make(chan func() (int, error))
 		done := startFlight(t, g, "k", release)
 		got := make(chan int, 1)
 		go func() {
-			v, _, err := g.do(context.Background(), "k", func() (int, error) { return 42, nil })
+			v, _, err := g.Do(context.Background(), "k", func() (int, error) { return 42, nil })
 			if err != nil {
 				t.Errorf("live waiter: %v", err)
 			}
@@ -80,15 +80,50 @@ func TestFlightGroupCancelledFlightRetries(t *testing.T) {
 	t.Run("cancelled-waiter-gives-up", func(t *testing.T) {
 		// A settled cancelled flight still pinned: the waiter must not
 		// spin on it once its own context is done.
-		g := newFlightGroup[string, int]("decompose", 8)
+		g := New[string, int]("decompose", 8)
 		f := &flight[int]{done: make(chan struct{}), err: cancelled}
 		close(f.done)
 		g.flights["k"] = f
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now())
 		defer cancel()
-		_, hit, err := g.do(ctx, "k", func() (int, error) { return 42, nil })
+		_, hit, err := g.Do(ctx, "k", func() (int, error) { return 42, nil })
 		if ce, ok := fault.Cancelled(err); !ok || ce.Phase != "decompose" || !errors.Is(err, context.DeadlineExceeded) || !hit {
 			t.Fatalf("cancelled waiter: hit=%v err=%v, want its own decompose cancellation", hit, err)
 		}
 	})
+}
+
+// Get is the lookup-only hit path: it serves a completed, successful
+// flight and misses on anything still computing or failed, without
+// waiting and without allocating.
+func TestGroupGet(t *testing.T) {
+	g := New[string, int]("compile", 8)
+	if _, ok := g.Get("k"); ok {
+		t.Fatal("hit on an empty group")
+	}
+	release := make(chan func() (int, error))
+	done := startFlight(t, g, "k", release)
+	if _, ok := g.Get("k"); ok {
+		t.Fatal("hit on an in-flight key")
+	}
+	release <- func() (int, error) { return 0, errors.New("boom") }
+	<-done
+	if _, ok := g.Get("k"); ok {
+		t.Fatal("hit on a failed key")
+	}
+	// A failed flight a stale reader still sees pinned is a miss too.
+	g.flights["stale"] = &flight[int]{done: make(chan struct{}), err: errors.New("boom")}
+	close(g.flights["stale"].done)
+	if _, ok := g.Get("stale"); ok {
+		t.Fatal("hit on a settled failed flight")
+	}
+	if v, _, err := g.Do(context.Background(), "k", func() (int, error) { return 7, nil }); v != 7 || err != nil {
+		t.Fatalf("Do: v=%d err=%v", v, err)
+	}
+	if v, ok := g.Get("k"); !ok || v != 7 {
+		t.Fatalf("Get after completion: v=%d ok=%v, want 7 true", v, ok)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = g.Get("k") }); allocs != 0 {
+		t.Fatalf("Get hit allocates %.1f times, want 0", allocs)
+	}
 }

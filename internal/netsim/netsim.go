@@ -92,19 +92,6 @@ func Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.Assignment) 
 	return Default.Run(ctx, g, s, a)
 }
 
-// WorkersFor is the worker count a round over n vertices runs with — the
-// Workers a Run over such a graph reports.
-func (e *Engine) WorkersFor(n int) int {
-	w := e.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
 func (e *Engine) getScratch() *shardScratch {
 	if sc, ok := e.pool.Get().(*shardScratch); ok {
 		return sc
@@ -138,7 +125,11 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, s cert.Scheme, a cert.
 		return Report{}, &fault.CancelledError{Phase: "verify", Cause: err}
 	}
 	m := e.metrics()
-	workers := e.WorkersFor(n)
+	workers := e.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
 	if n == 0 {
 		m.rounds.Inc()
 		return Report{Accepted: true, Rounds: 1, Workers: 0}, nil

@@ -2,10 +2,10 @@ package treewidth
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/logic"
+	"repro/internal/memo"
 )
 
 // This file is the formula front-end of the tw-mso workload: it compiles
@@ -55,18 +55,15 @@ type EMSO struct {
 	varIdx map[logic.Var]int
 	setIdx map[logic.SetVar]int
 
-	// The intro memo caches the introduce-node transition tables of the
+	// The transition-table memo caches the introduce-node tables of the
 	// table-driven solver, keyed by bag configuration (size, introduced
 	// position, adjacency pattern) — packed into a uint64 for the common
 	// narrow bags, a byte string for wide ones. Library sentences are
 	// compiled once and shared process-wide, so the memo amortizes table
 	// construction across every decomposition the sentence is ever
-	// solved on. Typed maps under an RWMutex (instead of a sync.Map)
-	// keep the read path free of interface boxing — the lookup runs once
-	// per introduce node.
-	introMu  sync.RWMutex
-	introU64 map[uint64]*introTables
-	introStr map[string]*introTables
+	// solved on.
+	narrowTables *memo.Group[uint64, *introTables]
+	wideTables   *memo.Group[string, *introTables]
 }
 
 // NumSets returns the number of existentially quantified sets (the
@@ -81,7 +78,13 @@ func CompileEMSO(f logic.Formula) (*EMSO, error) {
 	if !logic.IsSentence(f) {
 		return nil, fmt.Errorf("treewidth: emso: needs a sentence, got %s", f)
 	}
-	phi := &EMSO{Source: f, varIdx: map[logic.Var]int{}, setIdx: map[logic.SetVar]int{}}
+	phi := &EMSO{
+		Source:       f,
+		varIdx:       map[logic.Var]int{},
+		setIdx:       map[logic.SetVar]int{},
+		narrowTables: memo.New[uint64, *introTables]("emso", maxNarrowTables),
+		wideTables:   memo.New[string, *introTables]("emso", maxIntroMemoEntries-maxNarrowTables),
+	}
 	cur := f
 	for {
 		es, ok := cur.(logic.ExistsSet)

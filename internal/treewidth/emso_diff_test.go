@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/cert"
@@ -165,18 +167,81 @@ func TestTracebackErrorTyped(t *testing.T) {
 // TestIntroMemoBounded pins the transition-table memo's eviction: the
 // configurations are graph-controlled, so the memo must stay bounded no
 // matter how many distinct bag adjacency patterns a long-lived process
-// meets.
+// meets. Both groups are filled to their share through the memo itself,
+// then solves needing fresh narrow and wide configurations must evict
+// instead of growing.
 func TestIntroMemoBounded(t *testing.T) {
 	phi := MustCompileEMSO(logic.TrueSentence())
-	phi.introMu.Lock()
-	phi.introU64 = map[uint64]*introTables{}
-	for i := 0; i < maxIntroMemoEntries; i++ {
-		phi.introU64[uint64(i)] = &introTables{}
+	ctx := context.Background()
+	fill := func() (*introTables, error) { return &introTables{}, nil }
+	for i := 0; i < maxNarrowTables; i++ {
+		_, _, _ = phi.narrowTables.Do(ctx, uint64(i), fill)
 	}
-	phi.introMu.Unlock()
-	// The next solve needs a table for some configuration not in the
-	// synthetic fill; storing it must evict instead of growing.
-	g := graphgen.Cycle(8)
+	for i := 0; i < maxIntroMemoEntries-maxNarrowTables; i++ {
+		_, _, _ = phi.wideTables.Do(ctx, fmt.Sprint("synthetic-", i), fill)
+	}
+	total := func() int { return phi.narrowTables.Len() + phi.wideTables.Len() }
+	if got := total(); got != maxIntroMemoEntries {
+		t.Fatalf("synthetic fill holds %d entries, want %d", got, maxIntroMemoEntries)
+	}
+	// A cycle needs narrow configurations, a 12-clique's bag a wide one.
+	for _, g := range []*graph.Graph{graphgen.Cycle(8), graphgen.Clique(12)} {
+		d, _, err := Heuristic(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nice, err := MakeNice(d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := SolveEMSO(g, nice, phi); err != nil || !ok {
+			t.Fatalf("solve on full memo: ok=%v err=%v", ok, err)
+		}
+		if got := total(); got > maxIntroMemoEntries {
+			t.Fatalf("memo grew past its bound: %d entries (cap %d)", got, maxIntroMemoEntries)
+		}
+	}
+	// Each solve stored real tables, so each group evicted filler.
+	narrowKept, wideKept := 0, 0
+	for i := 0; i < maxNarrowTables; i++ {
+		if _, ok := phi.narrowTables.Get(uint64(i)); ok {
+			narrowKept++
+		}
+	}
+	for i := 0; i < maxIntroMemoEntries-maxNarrowTables; i++ {
+		if _, ok := phi.wideTables.Get(fmt.Sprint("synthetic-", i)); ok {
+			wideKept++
+		}
+	}
+	if narrowKept == maxNarrowTables || wideKept == maxIntroMemoEntries-maxNarrowTables {
+		t.Fatalf("no eviction: %d narrow and %d wide fillers kept", narrowKept, wideKept)
+	}
+}
+
+// TestTablesForHitAllocFree pins the memo's hit path: a warm lookup runs
+// once per introduce node, so it must not allocate.
+func TestTablesForHitAllocFree(t *testing.T) {
+	prop, _ := PropertyByName("3-colorable")
+	g := graphgen.Clique(3)
+	sv := &emsoSolver{g: g, phi: MustCompileEMSO(prop.Phi.Source)}
+	bag := []int{0, 1, 2}
+	warm := sv.tablesFor(bag, 2)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if sv.tablesFor(bag, 2) != warm {
+			t.Fatal("warm lookup returned different tables")
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm tablesFor allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestSolveEMSOConcurrentShared runs four solvers of one freshly compiled
+// sentence on one graph at once, so they race to build the same
+// transition tables: every solver must produce the same witness words.
+func TestSolveEMSOConcurrentShared(t *testing.T) {
+	prop, _ := PropertyByName("3-colorable")
+	phi := MustCompileEMSO(prop.Phi.Source)
+	g, _ := graphgen.PartialKTree(60, 2, 0.6, rand.New(rand.NewSource(7)))
 	d, _, err := Heuristic(g)
 	if err != nil {
 		t.Fatal(err)
@@ -185,14 +250,29 @@ func TestIntroMemoBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := SolveEMSO(g, nice, phi); err != nil || !ok {
-		t.Fatalf("solve on full memo: ok=%v err=%v", ok, err)
+	const solvers = 4
+	words := make([][]uint8, solvers)
+	errs := make([]error, solvers)
+	var wg sync.WaitGroup
+	for i := 0; i < solvers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var ok bool
+			words[i], ok, errs[i] = SolveEMSO(g, nice, phi)
+			if errs[i] == nil && !ok {
+				errs[i] = fmt.Errorf("solver %d: partial 2-tree not 3-colourable", i)
+			}
+		}(i)
 	}
-	phi.introMu.Lock()
-	total := len(phi.introU64) + len(phi.introStr)
-	phi.introMu.Unlock()
-	if total > maxIntroMemoEntries {
-		t.Fatalf("memo grew past its bound: %d entries (cap %d)", total, maxIntroMemoEntries)
+	wg.Wait()
+	for i := 0; i < solvers; i++ {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !slices.Equal(words[i], words[0]) {
+			t.Fatalf("solver %d witness differs from solver 0", i)
+		}
 	}
 }
 

@@ -394,94 +394,57 @@ func (sv *emsoSolver) tablesFor(bag []int, pos int) *introTables {
 		}
 	}
 	phi := sv.phi
-	var keyU64 uint64
-	var keyStr string
-	if bit <= 52 {
-		keyU64 = 1<<63 | uint64(n)<<58 | uint64(pos)<<52 | adjWords[0]
-		phi.introMu.RLock()
-		tb := phi.introU64[keyU64]
-		phi.introMu.RUnlock()
-		if tb != nil {
-			return tb
-		}
-	} else {
-		// Wide bags (reachable with few or no set variables) fall back to
-		// a byte key; the build below dwarfs the allocation anyway.
-		raw := make([]byte, 4, 4+8*len(adjWords))
-		raw[0], raw[1] = byte(n), byte(n>>8)
-		raw[2], raw[3] = byte(pos), byte(pos>>8)
-		for _, w := range adjWords {
-			for s := 0; s < 64; s += 8 {
-				raw = append(raw, byte(w>>uint(s)))
+	build := func() (*introTables, error) {
+		adj := func(i, j int) bool {
+			if i > j {
+				i, j = j, i
 			}
+			// Pair (i,j) sits at offset sum of the first i row lengths
+			// plus (j-i-1): rows have n-1, n-2, ... entries.
+			b := i*(2*n-i-1)/2 + (j - i - 1)
+			return adjWords[b>>6]>>(uint(b)&63)&1 == 1
 		}
-		keyStr = string(raw)
-		phi.introMu.RLock()
-		tb := phi.introStr[keyStr]
-		phi.introMu.RUnlock()
-		if tb != nil {
+		return buildIntroTables(phi, n, pos, adj), nil
+	}
+	// Concurrent solvers meeting one configuration build it once: the
+	// first claims the flight, the rest wait for its tables.
+	if bit <= 52 {
+		key := 1<<63 | uint64(n)<<58 | uint64(pos)<<52 | adjWords[0]
+		if tb, ok := phi.narrowTables.Get(key); ok {
 			return tb
 		}
+		tb, _, _ := phi.narrowTables.Do(context.Background(), key, build)
+		return tb
 	}
-	adj := func(i, j int) bool {
-		if i > j {
-			i, j = j, i
-		}
-		// Pair (i,j) sits at offset sum of the first i row lengths plus
-		// (j-i-1): rows have n-1, n-2, ... entries.
-		b := i*(2*n-i-1)/2 + (j - i - 1)
-		return adjWords[b>>6]>>(uint(b)&63)&1 == 1
-	}
-	tb := buildIntroTables(phi, n, pos, adj)
-	phi.introMu.Lock()
-	if keyStr != "" {
-		if phi.introStr == nil {
-			phi.introStr = map[string]*introTables{}
-		}
-		if prev := phi.introStr[keyStr]; prev != nil {
-			tb = prev // a concurrent solver won the build; share its tables
-		} else {
-			phi.evictIntroLocked()
-			phi.introStr[keyStr] = tb
-		}
-	} else {
-		if phi.introU64 == nil {
-			phi.introU64 = map[uint64]*introTables{}
-		}
-		if prev := phi.introU64[keyU64]; prev != nil {
-			tb = prev
-		} else {
-			phi.evictIntroLocked()
-			phi.introU64[keyU64] = tb
+	// Wide bags (reachable with few or no set variables) fall back to a
+	// byte key; the build dwarfs the allocation anyway.
+	raw := make([]byte, 4, 4+8*len(adjWords))
+	raw[0], raw[1] = byte(n), byte(n>>8)
+	raw[2], raw[3] = byte(pos), byte(pos>>8)
+	for _, w := range adjWords {
+		for s := 0; s < 64; s += 8 {
+			raw = append(raw, byte(w>>uint(s)))
 		}
 	}
-	phi.introMu.Unlock()
+	key := string(raw)
+	if tb, ok := phi.wideTables.Get(key); ok {
+		return tb
+	}
+	tb, _, _ := phi.wideTables.Do(context.Background(), key, build)
 	return tb
 }
 
 // maxIntroMemoEntries bounds the per-sentence transition-table memo:
 // configurations are graph-controlled (every distinct bag adjacency
 // pattern is a fresh key), so a long-lived server solving hostile graphs
-// would otherwise grow the memo monotonically. On overflow an arbitrary
-// entry is evicted, mirroring the engine's decomposition cache; solvers
-// already holding a table keep their pointer and later runs recompute.
-const maxIntroMemoEntries = 4096
-
-// evictIntroLocked drops one arbitrary memo entry when the combined memo
-// is full. Callers hold introMu.
-func (phi *EMSO) evictIntroLocked() {
-	if len(phi.introU64)+len(phi.introStr) < maxIntroMemoEntries {
-		return
-	}
-	for k := range phi.introU64 {
-		delete(phi.introU64, k)
-		return
-	}
-	for k := range phi.introStr {
-		delete(phi.introStr, k)
-		return
-	}
-}
+// would otherwise grow the memo monotonically. The narrow and wide groups
+// split it, narrow bags taking the larger share; on overflow a group
+// evicts an arbitrary entry, and solvers already holding a table keep
+// their pointer while later runs recompute.
+const (
+	maxIntroMemoEntries = 4096
+	maxNarrowTables     = maxIntroMemoEntries * 3 / 4
+)
 
 // up runs the bottom-up pass, filling sc.valid (sorted state slices) and
 // sc.preds (forget-node predecessor words). It reports whether the root
