@@ -80,12 +80,12 @@ func NewCacheObs(reg *registry.Registry, r *obs.Registry) *Cache {
 	return &Cache{
 		reg:           reg,
 		Obs:           r,
-		flights:       memo.New[string, cert.Scheme]("compile", maxCompileEntries),
+		flights:       memo.New[string, cert.Scheme]("engine", "compile", maxCompileEntries),
 		hits:          cacheCounter(r, "compile", "hit"),
 		misses:        cacheCounter(r, "compile", "miss"),
 		bypasses:      cacheCounter(r, "compile", "bypass"),
 		compilePhase:  phaseHistogram(r, "compile"),
-		formulas:      memo.New[string, string]("formula", maxCanonEntries),
+		formulas:      memo.New[string, string]("engine", "formula", maxCanonEntries),
 		formulaHits:   cacheCounter(r, "formula", "hit"),
 		formulaMisses: cacheCounter(r, "formula", "miss"),
 	}
@@ -106,10 +106,6 @@ const maxCompileEntries = maxCanonEntries
 // compile step reports the real parse error (failed flights are unpinned,
 // so the bad key cannot poison the cache).
 func (c *Cache) canonicalFormula(raw string) string {
-	if canon, ok := c.formulas.Get(raw); ok {
-		c.formulaHits.Inc()
-		return canon
-	}
 	canon, hit, _ := c.formulas.Do(context.Background(), raw, func() (string, error) {
 		if f, err := logic.Parse(raw); err == nil {
 			return logic.CanonicalString(f), nil

@@ -54,7 +54,7 @@ func NewDecompCache() *DecompCache {
 // all three cache families.
 func NewDecompCacheObs(r *obs.Registry) *DecompCache {
 	return &DecompCache{
-		flights:     memo.New[uint64, *treewidth.Decomposition]("decompose", maxDecompEntries),
+		flights:     memo.New[uint64, *treewidth.Decomposition]("engine", "decompose", maxDecompEntries),
 		hits:        cacheCounter(r, "decomp", "hit"),
 		misses:      cacheCounter(r, "decomp", "miss"),
 		decompPhase: phaseHistogram(r, "decompose"),

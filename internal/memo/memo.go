@@ -22,10 +22,11 @@ import (
 // an arbitrary entry is evicted. Waiters already holding its flight keep
 // their pointer; later requests simply recompute.
 type Group[K comparable, V any] struct {
-	// phase names the cached work in the errors the group makes itself:
-	// a panicked flight and a waiter cancelled while retrying.
-	phase string
-	limit int
+	// owner (the package) and phase (the cached work) name the group in
+	// the errors it makes itself: a panicked flight and a waiter
+	// cancelled while retrying.
+	owner, phase string
+	limit        int
 
 	mu      sync.RWMutex
 	flights map[K]*flight[V]
@@ -39,31 +40,10 @@ type flight[V any] struct {
 	err  error
 }
 
-// New returns an empty group holding at most limit entries; phase names
-// the cached work in the group's own errors.
-func New[K comparable, V any](phase string, limit int) *Group[K, V] {
-	return &Group[K, V]{phase: phase, limit: limit, flights: map[K]*flight[V]{}}
-}
-
-// Get returns key's value when a completed, successful flight holds it.
-// It never waits, never computes and allocates nothing: an in-flight or
-// failed key is a miss, which the caller resolves through Do.
-func (g *Group[K, V]) Get(key K) (v V, ok bool) {
-	g.mu.RLock()
-	f := g.flights[key]
-	g.mu.RUnlock()
-	if f == nil {
-		return v, false
-	}
-	select {
-	case <-f.done:
-		if f.err != nil {
-			return v, false
-		}
-		return f.val, true
-	default:
-		return v, false
-	}
+// New returns an empty group holding at most limit entries; owner and
+// phase name it in the group's own errors.
+func New[K comparable, V any](owner, phase string, limit int) *Group[K, V] {
+	return &Group[K, V]{owner: owner, phase: phase, limit: limit, flights: map[K]*flight[V]{}}
 }
 
 // Do returns key's value, running compute in the calling goroutine when
@@ -74,13 +54,22 @@ func (g *Group[K, V]) Get(key K) (v V, ok bool) {
 // unless it is itself cancelled.
 func (g *Group[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) (v V, hit bool, err error) {
 	for {
-		g.mu.Lock()
-		f, ok := g.flights[key]
-		if !ok {
-			break
+		// Hits and waits take only the read lock, so a warm lookup
+		// allocates nothing; the write lock is for claiming the key.
+		g.mu.RLock()
+		f := g.flights[key]
+		g.mu.RUnlock()
+		if f == nil {
+			g.mu.Lock()
+			if f = g.flights[key]; f == nil {
+				break // claim it, still holding the lock
+			}
+			g.mu.Unlock()
 		}
-		g.mu.Unlock()
 		<-f.done
+		if f.err == nil {
+			return f.val, true, nil
+		}
 		if _, cancelled := fault.Cancelled(f.err); !cancelled {
 			return f.val, true, f.err
 		}
@@ -110,7 +99,7 @@ func (g *Group[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) 
 			return
 		}
 		// The text reaches HTTP 500 bodies; keep it stable.
-		f.err = fmt.Errorf("engine: %s flight panicked", g.phase)
+		f.err = fmt.Errorf("%s: %s flight panicked", g.owner, g.phase)
 		g.unpin(key, f)
 		close(f.done)
 	}()

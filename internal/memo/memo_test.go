@@ -32,7 +32,7 @@ func startFlight(t *testing.T, g *Group[string, int], key string, release chan f
 // A panicking compute must release its waiters with an error and unpin
 // the key, so the next request computes afresh.
 func TestGroupPanicReleasesWaiters(t *testing.T) {
-	g := New[string, int]("compile", 8)
+	g := New[string, int]("engine", "compile", 8)
 	release := make(chan func() (int, error))
 	done := startFlight(t, g, "k", release)
 	// A waiter that joined gets the panic error; one scheduled after the
@@ -60,7 +60,7 @@ func TestGroupPanicReleasesWaiters(t *testing.T) {
 func TestGroupCancelledFlightRetries(t *testing.T) {
 	cancelled := &fault.CancelledError{Phase: "decompose", Cause: context.Canceled}
 	t.Run("live-waiter-recomputes", func(t *testing.T) {
-		g := New[string, int]("decompose", 8)
+		g := New[string, int]("engine", "decompose", 8)
 		release := make(chan func() (int, error))
 		done := startFlight(t, g, "k", release)
 		got := make(chan int, 1)
@@ -80,7 +80,7 @@ func TestGroupCancelledFlightRetries(t *testing.T) {
 	t.Run("cancelled-waiter-gives-up", func(t *testing.T) {
 		// A settled cancelled flight still pinned: the waiter must not
 		// spin on it once its own context is done.
-		g := New[string, int]("decompose", 8)
+		g := New[string, int]("engine", "decompose", 8)
 		f := &flight[int]{done: make(chan struct{}), err: cancelled}
 		close(f.done)
 		g.flights["k"] = f
@@ -93,37 +93,50 @@ func TestGroupCancelledFlightRetries(t *testing.T) {
 	})
 }
 
-// Get is the lookup-only hit path: it serves a completed, successful
-// flight and misses on anything still computing or failed, without
-// waiting and without allocating.
-func TestGroupGet(t *testing.T) {
-	g := New[string, int]("compile", 8)
-	if _, ok := g.Get("k"); ok {
-		t.Fatal("hit on an empty group")
+// Do's hit path: a caller finding a flight in progress waits for it
+// instead of computing, a failed flight is recomputed by the next
+// caller, and a hit on a completed flight allocates nothing.
+func TestGroupDoHit(t *testing.T) {
+	g := New[string, int]("engine", "compile", 8)
+	ctx := context.Background()
+	mustNotRun := func() (int, error) {
+		t.Error("compute ran on a hit")
+		return 0, nil
 	}
 	release := make(chan func() (int, error))
 	done := startFlight(t, g, "k", release)
-	if _, ok := g.Get("k"); ok {
-		t.Fatal("hit on an in-flight key")
+	type result struct {
+		v   int
+		hit bool
+		err error
 	}
-	release <- func() (int, error) { return 0, errors.New("boom") }
+	waiter := make(chan result, 1)
+	go func() {
+		v, hit, err := g.Do(ctx, "k", mustNotRun)
+		waiter <- result{v, hit, err}
+	}()
+	select {
+	case r := <-waiter:
+		t.Fatalf("waiter returned %+v before the flight settled", r)
+	case <-time.After(10 * time.Millisecond):
+	}
+	release <- func() (int, error) { return 5, nil }
 	<-done
-	if _, ok := g.Get("k"); ok {
-		t.Fatal("hit on a failed key")
+	if r := <-waiter; r.v != 5 || !r.hit || r.err != nil {
+		t.Fatalf("in-flight waiter: %+v, want the flight's 5 as a hit", r)
 	}
-	// A failed flight a stale reader still sees pinned is a miss too.
-	g.flights["stale"] = &flight[int]{done: make(chan struct{}), err: errors.New("boom")}
-	close(g.flights["stale"].done)
-	if _, ok := g.Get("stale"); ok {
-		t.Fatal("hit on a settled failed flight")
+
+	boom := errors.New("boom")
+	done = startFlight(t, g, "failed", release)
+	release <- func() (int, error) { return 0, boom }
+	<-done
+	if v, hit, err := g.Do(ctx, "failed", func() (int, error) { return 7, nil }); v != 7 || hit || err != nil {
+		t.Fatalf("after a failed flight: v=%d hit=%v err=%v, want a fresh computation", v, hit, err)
 	}
-	if v, _, err := g.Do(context.Background(), "k", func() (int, error) { return 7, nil }); v != 7 || err != nil {
-		t.Fatalf("Do: v=%d err=%v", v, err)
+	if v, hit, err := g.Do(ctx, "failed", mustNotRun); v != 7 || !hit || err != nil {
+		t.Fatalf("after completion: v=%d hit=%v err=%v, want 7 as a hit", v, hit, err)
 	}
-	if v, ok := g.Get("k"); !ok || v != 7 {
-		t.Fatalf("Get after completion: v=%d ok=%v, want 7 true", v, ok)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = g.Get("k") }); allocs != 0 {
-		t.Fatalf("Get hit allocates %.1f times, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { _, _, _ = g.Do(ctx, "k", mustNotRun) }); allocs != 0 {
+		t.Fatalf("Do hit allocates %.1f times, want 0", allocs)
 	}
 }

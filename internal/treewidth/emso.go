@@ -57,13 +57,10 @@ type EMSO struct {
 
 	// The transition-table memo caches the introduce-node tables of the
 	// table-driven solver, keyed by bag configuration (size, introduced
-	// position, adjacency pattern) — packed into a uint64 for the common
-	// narrow bags, a byte string for wide ones. Library sentences are
-	// compiled once and shared process-wide, so the memo amortizes table
-	// construction across every decomposition the sentence is ever
-	// solved on.
-	narrowTables *memo.Group[uint64, *introTables]
-	wideTables   *memo.Group[string, *introTables]
+	// position, adjacency pattern). Library sentences are compiled once
+	// and shared process-wide, so the memo amortizes table construction
+	// across every decomposition the sentence is ever solved on.
+	tables *memo.Group[introKey, *introTables]
 }
 
 // NumSets returns the number of existentially quantified sets (the
@@ -79,11 +76,10 @@ func CompileEMSO(f logic.Formula) (*EMSO, error) {
 		return nil, fmt.Errorf("treewidth: emso: needs a sentence, got %s", f)
 	}
 	phi := &EMSO{
-		Source:       f,
-		varIdx:       map[logic.Var]int{},
-		setIdx:       map[logic.SetVar]int{},
-		narrowTables: memo.New[uint64, *introTables]("emso", maxNarrowTables),
-		wideTables:   memo.New[string, *introTables]("emso", maxIntroMemoEntries-maxNarrowTables),
+		Source: f,
+		varIdx: map[logic.Var]int{},
+		setIdx: map[logic.SetVar]int{},
+		tables: memo.New[introKey, *introTables]("treewidth", "emso", maxIntroMemoEntries),
 	}
 	cur := f
 	for {

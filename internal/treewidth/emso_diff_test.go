@@ -167,21 +167,16 @@ func TestTracebackErrorTyped(t *testing.T) {
 // TestIntroMemoBounded pins the transition-table memo's eviction: the
 // configurations are graph-controlled, so the memo must stay bounded no
 // matter how many distinct bag adjacency patterns a long-lived process
-// meets. Both groups are filled to their share through the memo itself,
-// then solves needing fresh narrow and wide configurations must evict
-// instead of growing.
+// meets. The memo is filled through itself, then solves needing fresh
+// narrow and wide configurations must evict instead of growing.
 func TestIntroMemoBounded(t *testing.T) {
 	phi := MustCompileEMSO(logic.TrueSentence())
 	ctx := context.Background()
 	fill := func() (*introTables, error) { return &introTables{}, nil }
-	for i := 0; i < maxNarrowTables; i++ {
-		_, _, _ = phi.narrowTables.Do(ctx, uint64(i), fill)
+	for i := 0; i < maxIntroMemoEntries; i++ {
+		_, _, _ = phi.tables.Do(ctx, introKey{narrow: uint64(i)}, fill)
 	}
-	for i := 0; i < maxIntroMemoEntries-maxNarrowTables; i++ {
-		_, _, _ = phi.wideTables.Do(ctx, fmt.Sprint("synthetic-", i), fill)
-	}
-	total := func() int { return phi.narrowTables.Len() + phi.wideTables.Len() }
-	if got := total(); got != maxIntroMemoEntries {
+	if got := phi.tables.Len(); got != maxIntroMemoEntries {
 		t.Fatalf("synthetic fill holds %d entries, want %d", got, maxIntroMemoEntries)
 	}
 	// A cycle needs narrow configurations, a 12-clique's bag a wide one.
@@ -197,24 +192,9 @@ func TestIntroMemoBounded(t *testing.T) {
 		if _, ok, err := SolveEMSO(g, nice, phi); err != nil || !ok {
 			t.Fatalf("solve on full memo: ok=%v err=%v", ok, err)
 		}
-		if got := total(); got > maxIntroMemoEntries {
+		if got := phi.tables.Len(); got > maxIntroMemoEntries {
 			t.Fatalf("memo grew past its bound: %d entries (cap %d)", got, maxIntroMemoEntries)
 		}
-	}
-	// Each solve stored real tables, so each group evicted filler.
-	narrowKept, wideKept := 0, 0
-	for i := 0; i < maxNarrowTables; i++ {
-		if _, ok := phi.narrowTables.Get(uint64(i)); ok {
-			narrowKept++
-		}
-	}
-	for i := 0; i < maxIntroMemoEntries-maxNarrowTables; i++ {
-		if _, ok := phi.wideTables.Get(fmt.Sprint("synthetic-", i)); ok {
-			wideKept++
-		}
-	}
-	if narrowKept == maxNarrowTables || wideKept == maxIntroMemoEntries-maxNarrowTables {
-		t.Fatalf("no eviction: %d narrow and %d wide fillers kept", narrowKept, wideKept)
 	}
 }
 

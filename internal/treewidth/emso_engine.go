@@ -406,45 +406,48 @@ func (sv *emsoSolver) tablesFor(bag []int, pos int) *introTables {
 		}
 		return buildIntroTables(phi, n, pos, adj), nil
 	}
-	// Concurrent solvers meeting one configuration build it once: the
-	// first claims the flight, the rest wait for its tables.
+	// Narrow bags pack into a uint64 (bit 63 set, so never zero); wide
+	// ones (reachable with few or no set variables) fall back to a byte
+	// key, whose allocation the build dwarfs anyway.
+	var key introKey
 	if bit <= 52 {
-		key := 1<<63 | uint64(n)<<58 | uint64(pos)<<52 | adjWords[0]
-		if tb, ok := phi.narrowTables.Get(key); ok {
-			return tb
+		key.narrow = 1<<63 | uint64(n)<<58 | uint64(pos)<<52 | adjWords[0]
+	} else {
+		raw := make([]byte, 4, 4+8*len(adjWords))
+		raw[0], raw[1] = byte(n), byte(n>>8)
+		raw[2], raw[3] = byte(pos), byte(pos>>8)
+		for _, w := range adjWords {
+			for s := 0; s < 64; s += 8 {
+				raw = append(raw, byte(w>>uint(s)))
+			}
 		}
-		tb, _, _ := phi.narrowTables.Do(context.Background(), key, build)
-		return tb
+		key.wide = string(raw)
 	}
-	// Wide bags (reachable with few or no set variables) fall back to a
-	// byte key; the build dwarfs the allocation anyway.
-	raw := make([]byte, 4, 4+8*len(adjWords))
-	raw[0], raw[1] = byte(n), byte(n>>8)
-	raw[2], raw[3] = byte(pos), byte(pos>>8)
-	for _, w := range adjWords {
-		for s := 0; s < 64; s += 8 {
-			raw = append(raw, byte(w>>uint(s)))
-		}
+	// Concurrent solvers meeting one configuration build it once: the
+	// first claims the flight, the rest wait for its tables. The build
+	// cannot fail, so an error means it panicked in another solver.
+	tb, _, err := phi.tables.Do(context.Background(), key, build)
+	if err != nil {
+		panic(err)
 	}
-	key := string(raw)
-	if tb, ok := phi.wideTables.Get(key); ok {
-		return tb
-	}
-	tb, _, _ := phi.wideTables.Do(context.Background(), key, build)
 	return tb
+}
+
+// introKey names an introduce-node configuration: narrow holds the
+// packed form of bags with at most 52 vertex pairs and wide the byte
+// form of larger ones, the other field staying zero.
+type introKey struct {
+	narrow uint64
+	wide   string
 }
 
 // maxIntroMemoEntries bounds the per-sentence transition-table memo:
 // configurations are graph-controlled (every distinct bag adjacency
 // pattern is a fresh key), so a long-lived server solving hostile graphs
-// would otherwise grow the memo monotonically. The narrow and wide groups
-// split it, narrow bags taking the larger share; on overflow a group
-// evicts an arbitrary entry, and solvers already holding a table keep
-// their pointer while later runs recompute.
-const (
-	maxIntroMemoEntries = 4096
-	maxNarrowTables     = maxIntroMemoEntries * 3 / 4
-)
+// would otherwise grow the memo monotonically. On overflow an arbitrary
+// entry is evicted; solvers already holding a table keep their pointer
+// and later runs recompute.
+const maxIntroMemoEntries = 4096
 
 // up runs the bottom-up pass, filling sc.valid (sorted state slices) and
 // sc.preds (forget-node predecessor words). It reports whether the root
